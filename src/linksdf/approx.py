@@ -13,13 +13,14 @@ uniform rotations.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotConvergedError, ValidationError
-from .grids import EnvGrid
+from .grids import EnvGrid, _read_exact
 from .placement import WindowGeometry, grid_transform_exact
 
 TMLP_MAGIC = b"TMLP"
@@ -140,9 +141,10 @@ class TinyMlp:
 
     @classmethod
     def load(cls, path) -> "TinyMlp":
+        header_format = "<4sIII"
         with open(path, "rb") as fh:
-            header = fh.read(struct.calcsize("<4sIII"))
-            magic, version, hidden, n_points = struct.unpack("<4sIII", header)
+            header = _read_exact(fh, struct.calcsize(header_format), path, "header")
+            magic, version, hidden, n_points = struct.unpack(header_format, header)
             if magic != TMLP_MAGIC:
                 raise ValidationError(f"{path}: bad magic {magic!r}")
             if version != TMLP_VERSION:
@@ -150,11 +152,8 @@ class TinyMlp:
             out_dim = 3 * n_points
             arrays = []
             for shape in ((9, hidden), (hidden,), (hidden, out_dim), (out_dim,)):
-                count = int(np.prod(shape))
-                raw = np.frombuffer(fh.read(4 * count), dtype="<f4")
-                if raw.size != count:
-                    raise ValidationError(f"{path}: truncated weights")
-                arrays.append(raw.reshape(shape).copy())
+                raw = _read_exact(fh, 4 * math.prod(shape), path, "weights")
+                arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         return cls(*arrays)
 
 
@@ -183,26 +182,18 @@ class TrainingConfig:
             raise ValidationError("learning_rate must be positive")
 
 
-def _exact_targets(points: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """Exact transformed point sets, flattened to (B, 3 * V)."""
-    # Row-vector form of R^T p per point; batched matmul hits BLAS.
-    g = np.matmul(points[None], rotations)
-    return g.reshape(len(rotations), -1)
-
-
 def _max_component_error(
-    model: TinyMlp, points: np.ndarray, rotations: np.ndarray, chunk: int = 512
+    predict, points: np.ndarray, rotations: np.ndarray, chunk: int = 512
 ) -> tuple[float, float]:
-    """(max, mean) absolute component error vs the exact transform."""
+    """(max, mean) absolute component error of ``predict`` vs the exact transform."""
     worst = 0.0
     total = 0.0
     count = 0
     for s in range(0, len(rotations), chunk):
         r = rotations[s : s + chunk]
-        err = np.abs(
-            model.predict(r).reshape(len(r), -1).astype(np.float64)
-            - _exact_targets(points, r)
-        )
+        approx = np.asarray(predict(r), dtype=np.float64)
+        exact = grid_transform_exact(r, np.zeros((len(r), 3)), 1.0, points)
+        err = np.abs(approx.reshape(len(r), -1) - exact.reshape(len(r), -1))
         worst = max(worst, float(err.max()))
         total += float(err.sum())
         count += err.size
@@ -272,15 +263,15 @@ def train_approximator(points: np.ndarray, config: TrainingConfig | None = None)
             # checkpoints are comparable; the stop decision confirms on the
             # full validation set.
             screen_max, screen_mae = _max_component_error(
-                model, points, screen_rotations
+                model.predict, points, screen_rotations
             )
             history.append((step, screen_mae, screen_max))
             if screen_max <= stop_at or step == config.steps:
-                val_max, _ = _max_component_error(model, points, val_rotations)
+                val_max, _ = _max_component_error(model.predict, points, val_rotations)
                 if val_max <= stop_at:
                     break
 
-    val_max, val_mae = _max_component_error(model, points, val_rotations)
+    val_max, val_mae = _max_component_error(model.predict, points, val_rotations)
     model.history = history
     model.validation_max_error = val_max
     model.validation_mean_error = val_mae
@@ -293,17 +284,11 @@ def infer_grid_transform(model: TinyMlp, rotations, delta_t, extent_r) -> np.nda
     """Approximate sample coordinates: f(R) plus the broadcast shift.
 
     Mirrors :func:`linksdf.placement.grid_transform_exact` with the network
-    substituted for the matrix product; the shift term stays exact.
+    substituted for the matrix product; the shift term stays exact. The
+    shift is the exact transform of the window origin.
     """
-    r = np.asarray(rotations, dtype=np.float64)
-    dt = np.asarray(delta_t, dtype=np.float64)
-    single = r.ndim == 2
-    r = r.reshape(-1, 3, 3)
-    dt = dt.reshape(-1, 3)
-    g = model.predict(r).astype(np.float64)
-    dt_inv = -np.einsum("bj,bjk->bk", dt / float(extent_r), r)
-    g = g + dt_inv[:, None, :]
-    return g[0] if single else g
+    g = model.predict(rotations).astype(np.float64)
+    return g + grid_transform_exact(rotations, delta_t, extent_r, np.zeros((1, 3)))
 
 
 def evaluate_approximator(
@@ -321,20 +306,8 @@ def evaluate_approximator(
     """
     fn = predict.predict if isinstance(predict, TinyMlp) else predict
     points = np.ascontiguousarray(points, dtype=np.float64)
-    worst = 0.0
-    total = 0.0
-    count = 0
-    remaining = n_samples
-    while remaining > 0:
-        b = min(chunk, remaining)
-        remaining -= b
-        r = sample_rotations(rng, b)
-        approx = np.asarray(fn(r), dtype=np.float64).reshape(b, -1)
-        err = np.abs(approx - _exact_targets(points, r))
-        worst = max(worst, float(err.max()))
-        total += float(err.sum())
-        count += err.size
-    return {"max_abs_error": worst, "mean_abs_error": total / count}
+    worst, mean = _max_component_error(fn, points, sample_rotations(rng, n_samples), chunk)
+    return {"max_abs_error": worst, "mean_abs_error": mean}
 
 
 class NeuralTransformProvider:
@@ -353,14 +326,3 @@ class NeuralTransformProvider:
         return infer_grid_transform(
             self.model, rotations, delta_t, self.window.extent
         )
-
-
-def exact_predictor(points: np.ndarray):
-    """Callable matching the model's predict contract but exact (for evals)."""
-
-    def fn(rotations: np.ndarray) -> np.ndarray:
-        return grid_transform_exact(
-            rotations, np.zeros((len(rotations), 3)), 1.0, points
-        )
-
-    return fn

@@ -167,16 +167,38 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
 
 def prepare_robot_sdfs(scenario: Scenario) -> RobotSdfBatch:
     """Placement plus assembly for every waypoint (the per-trajectory cost)."""
-    d_far_global = min(s.d_far for s in scenario.sdfs)
-    fields = (
-        (c, f)
-        for c, _, f in place_links_batch(
+    return _timed_prepare(scenario)[0]
+
+
+def _timed_prepare(scenario: Scenario) -> tuple[RobotSdfBatch, float, float]:
+    """One prepare pass: (batch, placement seconds, total seconds).
+
+    Placement runs lazily inside assembly, so its time is what the
+    placement generator takes to hand over each field.
+    """
+    placement_s = 0.0
+
+    def fields():
+        nonlocal placement_s
+        it = place_links_batch(
             scenario.sdfs, scenario.poses, scenario.grid, scenario.provider
         )
+        while True:
+            t0 = time.perf_counter()
+            item = next(it, None)
+            placement_s += time.perf_counter() - t0
+            if item is None:
+                return
+            yield item[0], item[2]
+
+    t0 = time.perf_counter()
+    batch = assemble_robot_sdfs(
+        fields(),
+        scenario.grid,
+        scenario.waypoints.size,
+        min(s.d_far for s in scenario.sdfs),
     )
-    return assemble_robot_sdfs(
-        fields, scenario.grid, scenario.waypoints.size, d_far_global
-    )
+    return batch, placement_s, time.perf_counter() - t0
 
 
 def random_obstacles(scenario: Scenario, rng: np.random.Generator) -> ObstacleVoxelSet:
@@ -277,32 +299,17 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
     )
     report.add("precompute_link_sdfs_s", mean_s, std_s, "s")
 
-    # Placement and assembly timed separately, then the combined
-    # per-trajectory preparation cost.
-    d_far_global = min(s.d_far for s in scenario.sdfs)
-
-    def run_placement():
-        return [
-            (c, f)
-            for c, _, f in place_links_batch(
-                scenario.sdfs, scenario.poses, scenario.grid, scenario.provider
-            )
-        ]
-
-    mean_s, std_s, fields = _time(run_placement, reps=5, warmup=1)
-    report.add("placement_s", mean_s, std_s, "s")
-    mean_s, std_s, batch = _time(
-        lambda: assemble_robot_sdfs(
-            fields, scenario.grid, scenario.waypoints.size, d_far_global
-        ),
-        reps=5,
-        warmup=1,
-    )
-    report.add("assembly_s", mean_s, std_s, "s")
-    mean_s, std_s, batch = _time(
-        lambda: prepare_robot_sdfs(scenario), reps=5, warmup=0
-    )
-    report.add("prepare_sdf_per_trajectory_s", mean_s, std_s, "s")
+    # Placement, assembly and their sum come from the same prepare passes.
+    _timed_prepare(scenario)
+    passes = []
+    for _ in range(5):
+        batch, placement_s, total_s = _timed_prepare(scenario)
+        passes.append((placement_s, total_s - placement_s, total_s))
+    passes = np.array(passes)
+    for name, column in zip(
+        ("placement_s", "assembly_s", "prepare_sdf_per_trajectory_s"), passes.T
+    ):
+        report.add(name, float(column.mean()), float(column.std()), "s")
 
     sphere_prep_mean = sphere_prep_std = 0.0
     if scenario.spheres is not None:

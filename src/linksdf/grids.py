@@ -11,6 +11,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -77,17 +78,6 @@ class EnvGrid:
         """Centers of voxels given integer indices, shape (..., 3)."""
         idx = np.asarray(indices, dtype=np.float64)
         return -self.extent + (idx + 0.5) * self.resolution
-
-    def raw_voxel_indices(self, points: np.ndarray) -> np.ndarray:
-        """Floor voxel indices without any bounds check (may be negative)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return np.floor((pts + self.extent) / self.resolution).astype(np.int64)
-
-    def flat_indices(self, indices: np.ndarray) -> np.ndarray:
-        """x-fastest flat index of integer voxel indices, shape (..., 3) -> (...)."""
-        idx = np.asarray(indices)
-        nx, ny = int(self.dims[0]), int(self.dims[1])
-        return idx[..., 0] + nx * (idx[..., 1] + ny * idx[..., 2])
 
 
 def voxel_index_of(points: np.ndarray, grid: EnvGrid) -> np.ndarray:
@@ -230,25 +220,34 @@ def write_link_sdf(path, sdf: LinkSdf) -> None:
         fh.write(np.ascontiguousarray(sdf.values.ravel(order="F"), dtype="<f4").tobytes())
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """Exactly ``n`` bytes from a binary file, else ``ValidationError``.
+
+    The size check comes before the read, so a corrupt count in a header
+    cannot ask for a huge buffer.
+    """
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValidationError(f"{path}: truncated {what}")
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValidationError(f"{path}: truncated {what}")
+    return data
+
+
 def read_link_sdf(path) -> LinkSdf:
     """Read a link SDF cache file written by :func:`write_link_sdf`."""
-    header_size = struct.calcsize("<4sI3I3f3fI")
+    header_format = "<4sI3I3f3fI"
     with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        if len(header) != header_size:
-            raise ValidationError(f"{path}: truncated header")
+        header = _read_exact(fh, struct.calcsize(header_format), path, "header")
         magic, version, dx, dy, dz, ex, ey, ez, rx, ry, rz, link_id = struct.unpack(
-            "<4sI3I3f3fI", header
+            header_format, header
         )
         if magic != LSDF_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
         if version != LSDF_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
-        count = dx * dy * dz
-        raw = np.frombuffer(fh.read(4 * count), dtype="<f4")
-        if raw.size != count:
-            raise ValidationError(f"{path}: truncated values")
-    values = raw.reshape((dx, dy, dz), order="F")
+        raw = _read_exact(fh, 4 * dx * dy * dz, path, "values")
+    values = np.frombuffer(raw, dtype="<f4").reshape((dx, dy, dz), order="F")
     return LinkSdf(
         extent=np.float64([ex, ey, ez]),
         resolution=np.float64([rx, ry, rz]),

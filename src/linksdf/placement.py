@@ -241,27 +241,16 @@ def place_link(
 ) -> SdfSampleField:
     """Resample one link SDF onto its environment-aligned window.
 
-    Kept window cells get the trilinearly interpolated link SDF value at
-    the transformed sample position; dropped (masked) cells carry the
-    link's far sentinel.
+    The one-pose case of :func:`place_links_batch`: kept window cells get
+    the trilinearly interpolated link SDF value at the transformed sample
+    position; dropped (masked) cells carry the link's far sentinel.
     """
-    window = provider.window
-    if not window.matches_link(sdf):
-        raise ValidationError(
-            f"provider window extent {window.extent} does not match link "
-            f"extent {sdf.extent}"
-        )
-    align = compute_alignment(translation, grid, sdf.extent)
-    g = provider.transform(
-        np.asarray(rotation, dtype=np.float64)[None],
-        np.asarray(align.delta_t, dtype=np.float64)[None],
-    )[0]
-    samples = trilinear_sample(sdf, g * window.extent)
-
-    flat = np.full(window.n_cells, np.float32(sdf.d_far), dtype=np.float32)
-    flat[window.mask.ravel(order="F")] = samples
-    values = flat.reshape(tuple(window.dims), order="F")
-    return SdfSampleField(values=values, anchor=align.anchor, d_far=sdf.d_far)
+    poses = LinkPoseBatch(
+        rotations=np.asarray(rotation, dtype=np.float64).reshape(1, 1, 3, 3),
+        translations=np.asarray(translation, dtype=np.float64).reshape(1, 1, 3),
+    )
+    ((_, _, field),) = place_links_batch([sdf], poses, grid, provider, chunk=1)
+    return field
 
 
 def place_links_batch(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .grids import EnvGrid, SdfSampleField, voxel_index_of
+from .grids import EnvGrid, SdfSampleField, _read_exact, voxel_index_of
 from .meshes import TriangleMesh, primitive_surface_points
 from .robot import LinkPoseBatch, RobotModel
 
@@ -320,11 +320,9 @@ def write_pointcloud_frame(path, points: np.ndarray) -> None:
 
 def read_pointcloud_frame(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        (count,) = struct.unpack("<I", fh.read(4))
-        raw = np.frombuffer(fh.read(12 * count), dtype="<f4")
-        if raw.size != 3 * count:
-            raise ValidationError(f"{path}: truncated point data")
-    return raw.reshape(count, 3).astype(np.float64)
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        raw = _read_exact(fh, 12 * count, path, "point data")
+    return np.frombuffer(raw, dtype="<f4").reshape(count, 3).astype(np.float64)
 
 
 def read_cloud_manifest(path) -> list[tuple[float, Path]]:

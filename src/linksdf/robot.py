@@ -249,6 +249,12 @@ class ConfigBatch:
         q = np.atleast_2d(np.asarray(self.configurations, dtype=np.float64))
         if q.shape[0] < 1:
             raise ValidationError("ConfigBatch needs at least one configuration")
+        bad = ~np.isfinite(q)
+        if np.any(bad):
+            row, col = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"configuration row {row}, column {col} is not finite ({q[row, col]})"
+            )
         object.__setattr__(self, "configurations", q)
         q.flags.writeable = False
 

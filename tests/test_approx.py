@@ -12,13 +12,13 @@ from linksdf import (
     ValidationError,
     WindowGeometry,
     evaluate_approximator,
+    grid_transform_exact,
     infer_grid_transform,
     masked_window_points,
     sample_rotation,
     sample_rotations,
     train_approximator,
 )
-from linksdf.approx import exact_predictor
 
 
 class TestSampleRotation:
@@ -105,8 +105,6 @@ class TestInference:
         assert np.array_equal(shifted, direct.astype(np.float64))
 
     def test_matches_exact_within_budget(self, trained_tiny, tiny_points, rng):
-        from linksdf import grid_transform_exact
-
         r = sample_rotations(rng, 200)
         dt = rng.uniform(-0.05, 0.05, size=(200, 3))
         approx = infer_grid_transform(trained_tiny, r, dt, 0.3)
@@ -124,7 +122,11 @@ class TestInference:
 
 class TestEvaluate:
     def test_exact_against_itself_is_zero(self, tiny_points, rng):
-        rep = evaluate_approximator(exact_predictor(tiny_points), tiny_points, 500, rng)
+        def exact(rotations):
+            shift = np.zeros((len(rotations), 3))
+            return grid_transform_exact(rotations, shift, 1.0, tiny_points)
+
+        rep = evaluate_approximator(exact, tiny_points, 500, rng)
         assert rep["max_abs_error"] == 0.0
         assert rep["mean_abs_error"] == 0.0
 

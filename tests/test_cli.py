@@ -121,6 +121,29 @@ class TestBench:
         assert main(argv) == 2
         assert main(argv + ["--force"]) == 0
 
+    def test_prepare_rows_share_placement_passes(
+        self, tmp_path, arm3_path, trajectory_csv, monkeypatch
+    ):
+        # placement_s, assembly_s and prepare_sdf_per_trajectory_s come
+        # from one warm-up plus five timed prepare passes.
+        import linksdf.bench
+
+        passes = []
+        place = linksdf.bench.place_links_batch
+
+        def counting_place(*args, **kwargs):
+            passes.append(1)
+            return place(*args, **kwargs)
+
+        monkeypatch.setattr(linksdf.bench, "place_links_batch", counting_place)
+        argv = (
+            ["bench"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--obstacles", "20", "--reps", "5", "--out", str(tmp_path / "report")]
+        )
+        assert main(argv) == 0
+        assert 1 <= len(passes) <= 6
+
     def test_neural_provider_reports_transform_ratio(
         self, tmp_path, arm3_path, trajectory_csv
     ):
@@ -228,5 +251,17 @@ class TestExitCodes:
             ["bench"]
             + scenario_args(arm3_path, trajectory_csv)
             + ["--reps", "2"]  # below the minimum repetition count
+        )
+        assert main(argv) == 2
+
+    def test_non_finite_trajectory_is_2(self, tmp_path, arm3_path):
+        traj = tmp_path / "nan.csv"
+        traj.write_text("0,0,0\n0,nan,0\n")
+        manifest = tmp_path / "clouds.txt"
+        manifest.write_text("")
+        argv = (
+            ["replay"]
+            + scenario_args(arm3_path, traj)
+            + ["--clouds", str(manifest), "--out", str(tmp_path / "d.csv")]
         )
         assert main(argv) == 2

@@ -258,3 +258,17 @@ class TestConfigBatch:
         batch = ConfigBatch(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             batch.configurations[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_position(self, bad):
+        q = np.zeros((3, 3))
+        q[1, 2] = bad
+        q[2, 0] = bad
+        with pytest.raises(ValidationError, match=r"row 1, column 2"):
+            ConfigBatch(q)
+
+    def test_non_finite_csv_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.1,0.2,0.3\n0.1,nan,0.3\n")
+        with pytest.raises(ValidationError, match=r"row 1, column 1"):
+            ConfigBatch.from_csv(path)
