@@ -29,6 +29,19 @@ TMLP_VERSION = 1
 DEFAULT_HIDDEN = 32
 DEFAULT_MAX_ERROR = 0.0013
 
+# Early stopping: screen cheaply every _EVAL_EVERY steps, confirm on the
+# full validation set once the screen clears _STOP_FRACTION * target.
+_EVAL_EVERY = 1000
+_SCREEN_SIZE = 2048
+_VAL_SIZE = 10_000
+_STOP_FRACTION = 0.5
+# Adaptive-moment decay rates and denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+# Rotations per predictor call when measuring errors.
+_ERROR_CHUNK = 512
+
 
 def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform random rotation matrices via normalized quaternions, (n, 3, 3)."""
@@ -111,16 +124,6 @@ class TinyMlp:
         b2 = np.zeros(3 * n_points, dtype=np.float32)
         return cls(w1, b1, w2, b2)
 
-    @classmethod
-    def random(cls, n_points: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> "TinyMlp":
-        rng = np.random.default_rng(seed)
-        return cls(
-            rng.normal(0.0, 0.3, size=(9, hidden)),
-            np.zeros(hidden),
-            rng.normal(0.0, 0.3, size=(hidden, 3 * n_points)),
-            np.zeros(3 * n_points),
-        )
-
     def predict(self, rotations: np.ndarray) -> np.ndarray:
         """(B, 3, 3) or (3, 3) rotations -> (B, n_points, 3) coordinates."""
         r = np.asarray(rotations, dtype=np.float32)
@@ -167,15 +170,6 @@ class TrainingConfig:
     seed: int = 0
     hidden: int = DEFAULT_HIDDEN
     target_max_error: float = DEFAULT_MAX_ERROR
-    # Early stopping: screen cheaply every eval_every steps, confirm on the
-    # full validation set once the screen clears stop_fraction * target.
-    eval_every: int = 1000
-    screen_size: int = 2048
-    val_size: int = 10_000
-    stop_fraction: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -183,14 +177,14 @@ class TrainingConfig:
 
 
 def _max_component_error(
-    predict, points: np.ndarray, rotations: np.ndarray, chunk: int = 512
+    predict, points: np.ndarray, rotations: np.ndarray
 ) -> tuple[float, float]:
     """(max, mean) absolute component error of ``predict`` vs the exact transform."""
     worst = 0.0
     total = 0.0
     count = 0
-    for s in range(0, len(rotations), chunk):
-        r = rotations[s : s + chunk]
+    for s in range(0, len(rotations), _ERROR_CHUNK):
+        r = rotations[s : s + _ERROR_CHUNK]
         approx = np.asarray(predict(r), dtype=np.float64)
         exact = grid_transform_exact(r, np.zeros((len(r), 3)), 1.0, points)
         err = np.abs(approx.reshape(len(r), -1) - exact.reshape(len(r), -1))
@@ -217,17 +211,16 @@ def train_approximator(points: np.ndarray, config: TrainingConfig | None = None)
 
     rng = np.random.default_rng(config.seed)
     model = TinyMlp.initial(n_points, hidden=config.hidden, seed=config.seed)
-    val_rotations = sample_rotations(rng, config.val_size)
-    screen_rotations = val_rotations[: config.screen_size]
+    val_rotations = sample_rotations(rng, _VAL_SIZE)
+    screen_rotations = val_rotations[:_SCREEN_SIZE]
 
     params = [model.w1, model.b1, model.w2, model.b2]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     lr = np.float32(config.learning_rate)
-    b1c, b2c = config.beta1, config.beta2
 
     history: list[tuple[int, float, float]] = []
-    stop_at = config.stop_fraction * config.target_max_error
+    stop_at = _STOP_FRACTION * config.target_max_error
 
     step = 0
     while step < config.steps:
@@ -251,14 +244,14 @@ def train_approximator(points: np.ndarray, config: TrainingConfig | None = None)
         dw1 = x.T @ dh
         db1 = dh.sum(axis=0)
 
-        bc1 = 1.0 - b1c**step
-        bc2 = 1.0 - b2c**step
+        bc1 = 1.0 - _BETA1**step
+        bc2 = 1.0 - _BETA2**step
         for p, mi, vi, g in zip(params, m, v, (dw1, db1, dw2, db2)):
-            mi += (1.0 - b1c) * (g - mi)
-            vi += (1.0 - b2c) * (g * g - vi)
-            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + config.eps)
+            mi += (1.0 - _BETA1) * (g - mi)
+            vi += (1.0 - _BETA2) * (g * g - vi)
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + _EPS)
 
-        if step % config.eval_every == 0 or step == config.steps:
+        if step % _EVAL_EVERY == 0 or step == config.steps:
             # History always measures the same fixed screen set so the
             # checkpoints are comparable; the stop decision confirms on the
             # full validation set.
@@ -296,7 +289,6 @@ def evaluate_approximator(
     points: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 512,
 ) -> dict[str, float]:
     """Componentwise error of a transform predictor vs the exact product.
 
@@ -304,9 +296,11 @@ def evaluate_approximator(
     rotations to (B, V, 3) coordinates. Returns max and mean absolute error
     over ``n_samples`` uniform rotations.
     """
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     fn = predict.predict if isinstance(predict, TinyMlp) else predict
     points = np.ascontiguousarray(points, dtype=np.float64)
-    worst, mean = _max_component_error(fn, points, sample_rotations(rng, n_samples), chunk)
+    worst, mean = _max_component_error(fn, points, sample_rotations(rng, n_samples))
     return {"max_abs_error": worst, "mean_abs_error": mean}
 
 

@@ -77,6 +77,8 @@ class ScenarioConfig:
             raise ValidationError("the neural provider needs --model")
         if self.reps < 5:
             raise ValidationError("timing needs at least 5 repetitions")
+        if self.n_obstacles < 0:
+            raise ValidationError(f"n_obstacles must be >= 0, got {self.n_obstacles}")
 
 
 @dataclass

@@ -89,6 +89,8 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.eval_samples < 1:
+        raise ValidationError(f"--eval-samples must be >= 1, got {args.eval_samples}")
     points = approx.masked_window_points(args.window)
     config = approx.TrainingConfig(
         learning_rate=args.lr,

@@ -5,6 +5,10 @@ class LinkSdfError(Exception):
     """Base class for all library errors."""
 
 
+class ValidationError(LinkSdfError):
+    """Invalid configuration, file content, or scenario parameters."""
+
+
 class OutOfBoundsError(LinkSdfError):
     """A point lies outside the environment grid."""
 
@@ -13,7 +17,7 @@ class NoOverlapError(LinkSdfError):
     """A placement window has no intersection with the environment grid."""
 
 
-class LimitViolationError(LinkSdfError):
+class LimitViolationError(ValidationError):
     """One or more configurations violate joint position limits.
 
     Carries ``violations``, a list of (config_index, joint_index) pairs.
@@ -34,7 +38,7 @@ class GridMismatchError(LinkSdfError):
     """Two objects built against different environment grids were combined."""
 
 
-class DimensionMismatchError(LinkSdfError):
+class DimensionMismatchError(ValidationError):
     """A model's output size does not match the requested sample window."""
 
 
@@ -51,7 +55,3 @@ class NotConvergedError(LinkSdfError):
         super().__init__(
             f"max error {achieved_error:.3e} did not reach target {target_error:.3e}"
         )
-
-
-class ValidationError(LinkSdfError):
-    """Invalid configuration, file content, or scenario parameters."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonWatertightError, ValidationError
-from .grids import LinkSdf
+from .grids import LinkSdf, _as_vec3, _exact_dims
 
 log = logging.getLogger(__name__)
 
@@ -141,84 +141,70 @@ class TriangleMesh:
         )
 
 
-def _closest_point_sq(p: np.ndarray, a, b, c) -> np.ndarray:
-    """Squared distance from each point to each triangle, (n, t).
-
-    Vectorized Voronoi-region closest-point-on-triangle evaluation
-    (vertex, edge and face regions handled exactly).
-    """
-    ab = b - a
-    ac = c - a
-    bc = c - b
-
-    ap = p[:, None, :] - a[None, :, :]
-    bp = p[:, None, :] - b[None, :, :]
-    cp = p[:, None, :] - c[None, :, :]
-
-    d1 = np.einsum("ntj,tj->nt", ap, ab)
-    d2 = np.einsum("ntj,tj->nt", ap, ac)
-    d3 = np.einsum("ntj,tj->nt", bp, ab)
-    d4 = np.einsum("ntj,tj->nt", bp, ac)
-    d5 = np.einsum("ntj,tj->nt", cp, ab)
-    d6 = np.einsum("ntj,tj->nt", cp, ac)
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    closest = np.empty_like(ap)
-    done = np.zeros(d1.shape, dtype=bool)
-
-    def assign(mask, value):
-        nonlocal done
-        mask = mask & ~done
-        if np.any(mask):
-            closest[mask] = value[mask]
-        done |= mask
-
-    broadcast = np.broadcast_to
-    shape = closest.shape
-
-    assign((d1 <= 0) & (d2 <= 0), broadcast(a[None], shape))
-    assign((d3 >= 0) & (d4 <= d3), broadcast(b[None], shape))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = np.nan_to_num(d1 / (d1 - d3))
-        t_ac = np.nan_to_num(d2 / (d2 - d6))
-        t_bc = np.nan_to_num((d4 - d3) / ((d4 - d3) + (d5 - d6)))
-
-    assign(
-        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
-        a[None] + t_ab[..., None] * ab[None],
-    )
-    assign((d6 >= 0) & (d5 <= d6), broadcast(c[None], shape))
-    assign(
-        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
-        a[None] + t_ac[..., None] * ac[None],
-    )
-    assign(
-        (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0),
-        b[None] + t_bc[..., None] * bc[None],
-    )
-
-    denom = va + vb + vc
-    denom = np.where(denom == 0, 1.0, denom)
-    v = vb / denom
-    w = vc / denom
-    assign(
-        np.ones(d1.shape, dtype=bool),
-        a[None] + v[..., None] * ab[None] + w[..., None] * ac[None],
-    )
-
-    diff = p[:, None, :] - closest
+def _segment_sq(vp: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Squared distance of offsets ``vp`` from segment starts to segments, (n, t)."""
+    t = np.einsum("ntj,tj->nt", vp, edge) / np.einsum("tj,tj->t", edge, edge)
+    diff = vp - np.clip(t, 0.0, 1.0)[..., None] * edge
     return np.einsum("ntj,ntj->nt", diff, diff)
 
 
-def _point_triangle_distances(points: np.ndarray, a, b, c) -> np.ndarray:
-    """Unsigned distance from each point to the nearest of the triangles.
+def _closest_point_sq(p: np.ndarray, a, b, c) -> np.ndarray:
+    """Squared distance from each point to each triangle, (n, t).
+
+    The squared plane distance where the point projects inside the triangle
+    (all three edge-side tests agree with the face normal), otherwise the
+    nearest of the three clamped edge distances (Ericson, *Real-Time
+    Collision Detection*, 2004, 5.1.5).
+    """
+    ab, bc, ca = b - a, c - b, a - c
+    normal = np.cross(ab, c - a)
+    ap = p[:, None, :] - a
+    bp = p[:, None, :] - b
+    cp = p[:, None, :] - c
+    projects_inside = (
+        (np.einsum("ntj,tj->nt", ap, np.cross(normal, ab)) >= 0)
+        & (np.einsum("ntj,tj->nt", bp, np.cross(normal, bc)) >= 0)
+        & (np.einsum("ntj,tj->nt", cp, np.cross(normal, ca)) >= 0)
+    )
+    plane_sq = np.einsum("ntj,tj->nt", ap, normal) ** 2 / np.einsum(
+        "tj,tj->t", normal, normal
+    )
+    edge_sq = np.minimum(
+        np.minimum(_segment_sq(ap, ab), _segment_sq(bp, bc)), _segment_sq(cp, ca)
+    )
+    return np.where(projects_inside, plane_sq, edge_sq)
+
+
+def _inside_mask(p: np.ndarray, a, b, c) -> np.ndarray:
+    """Generalized winding number test (Jacobson et al., SIGGRAPH 2013).
+
+    Van Oosterom-Strackee: each triangle subtends ``2 atan2(det, den)`` at
+    the point; a closed mesh's solid angles sum to 4 pi inside and 0
+    outside, so more than 2 pi means inside. The absolute value accepts
+    either consistent face orientation.
+    """
+    pa = a - p[:, None, :]
+    pb = b - p[:, None, :]
+    pc = c - p[:, None, :]
+    la = np.sqrt(np.einsum("ntj,ntj->nt", pa, pa))
+    lb = np.sqrt(np.einsum("ntj,ntj->nt", pb, pb))
+    lc = np.sqrt(np.einsum("ntj,ntj->nt", pc, pc))
+    det = np.einsum("ntj,ntj->nt", pa, np.cross(pb, pc))
+    den = (
+        la * lb * lc
+        + np.einsum("ntj,ntj->nt", pa, pb) * lc
+        + np.einsum("ntj,ntj->nt", pb, pc) * la
+        + np.einsum("ntj,ntj->nt", pc, pa) * lb
+    )
+    return np.abs(np.arctan2(det, den).sum(axis=1)) > np.pi
+
+
+def _point_triangle_distances(points: np.ndarray, a, b, c, signed: bool) -> np.ndarray:
+    """Distance from each point to the nearest of the triangles.
 
     Chunked over points; a coarse centroid-radius prefilter drops triangles
-    that cannot beat a chunk-level upper bound.
+    that cannot beat a chunk-level upper bound. With ``signed``, points the
+    winding number puts inside get negative distances.
     """
     centroid = (a + b + c) / 3.0
     tri_radius = np.maximum(
@@ -241,68 +227,11 @@ def _point_triangle_distances(points: np.ndarray, a, b, c) -> np.ndarray:
         d_cent = np.linalg.norm(centroid - center, axis=-1)
         upper = np.min(d_cent + tri_radius) + p_radius
         keep = d_cent - tri_radius - p_radius <= upper
-        d2 = _closest_point_sq(p, a[keep], b[keep], c[keep])
-        best[start : start + chunk] = np.sqrt(d2.min(axis=1))
+        d = np.sqrt(_closest_point_sq(p, a[keep], b[keep], c[keep]).min(axis=1))
+        if signed:
+            d = np.where(_inside_mask(p, a, b, c), -d, d)
+        best[start : start + chunk] = d
     return best
-
-
-_RAY_DIRECTIONS = np.float64(
-    [
-        [0.577350269, 0.577350269, 0.577350269],
-        [0.267261242, 0.534522484, 0.801783726],
-        [-0.455842306, 0.569802882, 0.683763459],
-        [0.816496581, -0.408248290, 0.408248290],
-    ]
-)
-
-
-def _ray_crossings(points: np.ndarray, mesh: TriangleMesh, direction: np.ndarray):
-    """Count ray-triangle crossings per point; returns (counts, suspect mask).
-
-    Suspect points had a hit too close to a triangle edge or plane-parallel
-    configuration to trust the parity; callers retry with another direction.
-    """
-    a, b, c = mesh.triangle_corners()
-    e1 = b - a
-    e2 = c - a
-    h = np.cross(direction, e2)
-    det = np.einsum("tj,tj->t", e1, h)
-    parallel = np.abs(det) < 1e-12
-    det_safe = np.where(parallel, 1.0, det)
-
-    counts = np.zeros(len(points), dtype=np.int64)
-    suspect = np.zeros(len(points), dtype=bool)
-    eps = 1e-9
-    for start in range(0, len(points), _POINT_CHUNK):
-        p = points[start : start + _POINT_CHUNK]
-        s = p[:, None, :] - a[None, :, :]
-        u = np.einsum("ntj,tj->nt", s, h) / det_safe
-        q = np.cross(s, e1[None, :, :])
-        v = np.einsum("ntj,j->nt", q, direction) / det_safe
-        t = np.einsum("ntj,tj->nt", q, e2) / det_safe
-        hit = (~parallel) & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
-        counts[start : start + _POINT_CHUNK] = hit.sum(axis=1)
-        near_edge = hit & (
-            (u < eps) | (v < eps) | (u + v > 1 - eps) | (np.abs(t) < eps)
-        )
-        suspect[start : start + _POINT_CHUNK] = near_edge.any(axis=1)
-    return counts, suspect
-
-
-def _inside_mask(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
-    """Ray-crossing parity, retried along backup directions near edges."""
-    remaining = np.arange(len(points))
-    inside = np.zeros(len(points), dtype=bool)
-    for direction in _RAY_DIRECTIONS:
-        counts, suspect = _ray_crossings(points[remaining], mesh, direction)
-        ok = ~suspect
-        inside[remaining[ok]] = counts[ok] % 2 == 1
-        remaining = remaining[suspect]
-        if len(remaining) == 0:
-            return inside
-    # All directions were suspect (points essentially on the surface).
-    inside[remaining] = False
-    return inside
 
 
 def exact_point_distance(
@@ -311,21 +240,17 @@ def exact_point_distance(
     """Exact distance from points to the mesh surface, negative inside.
 
     The unsigned part is the true minimum over all triangles; the sign
-    comes from ray-crossing parity and requires a watertight mesh.
+    comes from the generalized winding number and requires a watertight
+    mesh.
     """
+    if signed and not mesh.is_watertight:
+        raise NonWatertightError(
+            "signed distance requested on an open mesh; pass signed=False"
+        )
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
     p = pts.reshape(-1, 3)
-
-    a, b, c = mesh.triangle_corners()
-    d = _point_triangle_distances(p, a, b, c)
-    if signed:
-        if not mesh.is_watertight:
-            raise NonWatertightError(
-                "signed distance requested on an open mesh; pass signed=False"
-            )
-        inside = _inside_mask(p, mesh)
-        d = np.where(inside, -d, d)
+    d = _point_triangle_distances(p, *mesh.triangle_corners(), signed)
     return float(d[0]) if scalar else d.reshape(pts.shape[:-1])
 
 
@@ -341,9 +266,9 @@ def build_link_sdf(
     meshes fall back to unsigned distance with a warning; the pipeline still
     works, distances just never go negative.
     """
-    extent = np.broadcast_to(np.asarray(extent, dtype=np.float64), (3,))
-    resolution = np.broadcast_to(np.asarray(resolution, dtype=np.float64), (3,))
-    dims = np.rint(2.0 * extent / resolution).astype(np.int64)
+    extent = _as_vec3(extent, "extent")
+    resolution = _as_vec3(resolution, "resolution")
+    dims = _exact_dims(extent, resolution, "LinkSdf")
 
     signed = True
     if isinstance(geometry, TriangleMesh):
@@ -353,6 +278,7 @@ def build_link_sdf(
                 "link %d: mesh is not watertight, storing unsigned distances", link_id
             )
 
+    # The lattice rule of LinkSdf.cell_centers_1d.
     axes = [
         -extent[a] + (np.arange(dims[a]) + 0.5) * resolution[a] for a in range(3)
     ]

@@ -25,6 +25,7 @@ from .meshes import TriangleMesh, primitive_surface_points
 from .robot import LinkPoseBatch, RobotModel
 
 DEFAULT_BATCH_BYTES = 1 << 30  # refuse to allocate robot SDF batches past 1 GiB
+_SPHERE_CHUNK = 64  # configurations per sphere-baseline block
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +257,6 @@ def sphere_baseline_distances(
     poses: LinkPoseBatch,
     obstacles: ObstacleVoxelSet,
     grid: EnvGrid,
-    chunk: int = 64,
     return_stats: bool = False,
 ):
     """Per-configuration minima of sphere-to-voxel-center distances.
@@ -275,8 +275,8 @@ def sphere_baseline_distances(
     targets = grid.voxel_centers(obstacles.indices)  # (N, 3)
     out = np.empty(c, dtype=np.float64)
     evals = 0
-    for c0 in range(0, c, chunk):
-        c1 = min(c0 + chunk, c)
+    for c0 in range(0, c, _SPHERE_CHUNK):
+        c1 = min(c0 + _SPHERE_CHUNK, c)
         rot = poses.rotations[c0:c1][:, spheres.link_indices]  # (b, S, 3, 3)
         trn = poses.translations[c0:c1][:, spheres.link_indices]  # (b, S, 3)
         world = np.einsum("bsij,sj->bsi", rot, spheres.centers) + trn
@@ -329,13 +329,19 @@ def read_cloud_manifest(path) -> list[tuple[float, Path]]:
     """Manifest lines: ``<timestamp_ms> <frame file>`` relative to the manifest."""
     base = Path(path).parent
     frames = []
-    with open(path) as fh:
-        for line in fh:
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            stamp, name = line.split(maxsplit=1)
-            frames.append((float(stamp), base / name))
+            try:
+                stamp, name = line.split(maxsplit=1)
+                frames.append((float(stamp), base / name))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected '<timestamp_ms> <frame file>', "
+                    f"got {line[:60]!r}"
+                ) from None
     return frames
 
 

@@ -21,6 +21,17 @@ from linksdf import (
 )
 
 
+def random_mlp(n_points: int, hidden: int = 32, seed: int = 0) -> TinyMlp:
+    """An untrained model with Gaussian weights, as a point of comparison."""
+    rng = np.random.default_rng(seed)
+    return TinyMlp(
+        rng.normal(0.0, 0.3, size=(9, hidden)),
+        np.zeros(hidden),
+        rng.normal(0.0, 0.3, size=(hidden, 3 * n_points)),
+        np.zeros(3 * n_points),
+    )
+
+
 class TestSampleRotation:
     def test_orthonormal(self, rng):
         r = sample_rotations(rng, 1000)
@@ -71,13 +82,13 @@ class TestTraining:
             best = min(best, mae)
 
     def test_untrained_much_worse(self, trained_tiny, tiny_points, rng):
-        untrained = TinyMlp.random(len(tiny_points), seed=9)
+        untrained = random_mlp(len(tiny_points), seed=9)
         trained_rep = evaluate_approximator(trained_tiny, tiny_points, 2000, np.random.default_rng(5))
         untrained_rep = evaluate_approximator(untrained, tiny_points, 2000, np.random.default_rng(5))
         assert untrained_rep["mean_abs_error"] >= 10 * trained_rep["mean_abs_error"]
 
     def test_deterministic_given_seed(self, tiny_points):
-        config = TrainingConfig(steps=300, seed=11, target_max_error=np.inf, eval_every=300)
+        config = TrainingConfig(steps=300, seed=11, target_max_error=np.inf)
         a = train_approximator(tiny_points, config)
         b = train_approximator(tiny_points, config)
         for name in ("w1", "b1", "w2", "b2"):
@@ -86,7 +97,7 @@ class TestTraining:
     def test_not_converged_carries_model(self, tiny_points):
         from linksdf import NotConvergedError
 
-        config = TrainingConfig(steps=200, seed=0, target_max_error=1e-9, eval_every=200)
+        config = TrainingConfig(steps=200, seed=0, target_max_error=1e-9)
         with pytest.raises(NotConvergedError) as err:
             train_approximator(tiny_points, config)
         assert err.value.model is not None
@@ -133,6 +144,11 @@ class TestEvaluate:
     def test_mean_le_max(self, trained_tiny, tiny_points, rng):
         rep = evaluate_approximator(trained_tiny, tiny_points, 1000, rng)
         assert rep["mean_abs_error"] <= rep["max_abs_error"]
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_sample(self, trained_tiny, tiny_points, rng, n):
+        with pytest.raises(ValidationError):
+            evaluate_approximator(trained_tiny, tiny_points, n, rng)
 
 
 class TestProviderWiring:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from linksdf import ConfigBatch, build_link_sdf, read_link_sdf
+from linksdf import ConfigBatch, TinyMlp, build_link_sdf, read_link_sdf
 from linksdf.cli import main
 from linksdf.query import write_pointcloud_frame
 
@@ -55,6 +55,15 @@ class TestPrecompute:
         ]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("res", ["0", "-0.05"])
+    def test_non_positive_resolution_is_2(self, tmp_path, arm3_path, res):
+        argv = [
+            "precompute", "--robot", str(arm3_path),
+            "--link-extent", "0.3", "--link-res", res, "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+        assert not list((tmp_path / "out").glob("*.lsdf"))
+
 
 class TestTrain:
     def test_tiny_window_and_determinism(self, tmp_path):
@@ -74,6 +83,16 @@ class TestTrain:
             "--out", str(tmp_path / "m.tmlp"),
         ]
         assert main(argv) == 3
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_eval_samples_is_2_before_training(self, tmp_path, n):
+        out = tmp_path / "m.tmlp"
+        argv = [
+            "train", "--window", "4", "--steps", "100", "--target", "10",
+            "--eval-samples", n, "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert not out.exists()
 
 
 class TestBench:
@@ -263,5 +282,53 @@ class TestExitCodes:
             ["replay"]
             + scenario_args(arm3_path, traj)
             + ["--clouds", str(manifest), "--out", str(tmp_path / "d.csv")]
+        )
+        assert main(argv) == 2
+
+    def _replay(self, tmp_path, arm3_path, traj, manifest_text=""):
+        manifest = tmp_path / "clouds.txt"
+        manifest.write_text(manifest_text)
+        argv = (
+            ["replay"]
+            + scenario_args(arm3_path, traj)
+            + ["--clouds", str(manifest), "--out", str(tmp_path / "d.csv")]
+        )
+        return main(argv)
+
+    def test_trajectory_outside_joint_limits_is_2(self, tmp_path, arm3_path):
+        traj = tmp_path / "far.csv"
+        traj.write_text("0,0,0\n0,4.0,0\n")
+        assert self._replay(tmp_path, arm3_path, traj) == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"0,0,0\n0,zero,0\n", b"0,0,0\n\xff\xfe,0,0\n"], ids=["text", "binary"]
+    )
+    def test_non_numeric_trajectory_is_2(self, tmp_path, arm3_path, capsys, content):
+        traj = tmp_path / "text.csv"
+        traj.write_bytes(content)
+        assert self._replay(tmp_path, arm3_path, traj) == 2
+        assert "text.csv:2:" in capsys.readouterr().err
+
+    def test_manifest_line_without_file_is_2(
+        self, tmp_path, arm3_path, trajectory_csv, capsys
+    ):
+        assert self._replay(tmp_path, arm3_path, trajectory_csv, "0.0 f0.bin\n33.3\n") == 2
+        assert "clouds.txt:2:" in capsys.readouterr().err
+
+    def test_model_of_wrong_width_is_2(self, tmp_path, arm3_path, trajectory_csv):
+        model_path = tmp_path / "w4.tmlp"
+        TinyMlp.initial(n_points=5).save(model_path)
+        argv = (
+            ["bench"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--reps", "5", "--provider", "neural", "--model", str(model_path)]
+        )
+        assert main(argv) == 2
+
+    def test_negative_obstacle_count_is_2(self, arm3_path, trajectory_csv):
+        argv = (
+            ["bench"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--reps", "5", "--obstacles", "-1"]
         )
         assert main(argv) == 2

@@ -11,6 +11,7 @@ from linksdf import (
     NonWatertightError,
     Sphere,
     TriangleMesh,
+    ValidationError,
     build_link_sdf,
     exact_point_distance,
     load_mesh,
@@ -89,6 +90,37 @@ class TestExactPointDistance:
         d = exact_point_distance(open_mesh, np.float64([0, 0, 0]), signed=False)
         assert d == pytest.approx(0.5)
 
+    def test_cube_diagonal_point_is_inside(self, unit_cube):
+        # A parity ray from here leaves through a shared vertex.
+        d = exact_point_distance(unit_cube, np.float64([0.05, 0.05, 0.05]))
+        assert d == pytest.approx(-0.45, abs=1e-12)
+
+    def test_cube_matches_box_primitive(self, unit_cube, rng):
+        uniform = rng.uniform(-1.0, 1.0, size=(2000, 3))
+        diagonal = rng.uniform(-0.5, 0.5, size=(2000, 1)) * np.ones(3)
+        pts = np.concatenate([uniform, diagonal])
+        d = exact_point_distance(unit_cube, pts)
+        assert np.abs(d - primitive_sdf(Box([0.5, 0.5, 0.5]), pts)).max() <= 1e-12
+
+    def test_vertices_and_edges_are_finite(self, unit_cube, icosphere):
+        for mesh in (unit_cube, icosphere):
+            a, b, _ = mesh.triangle_corners()
+            pts = np.concatenate([mesh.vertices, 0.5 * (a + b)])
+            d = exact_point_distance(mesh, pts)
+            assert np.all(np.isfinite(d))
+            assert np.abs(d).max() <= 1e-12
+
+    def test_icosphere_sign_beyond_sagitta(self, icosphere, rng):
+        # Points near the surface, some on the rays through the vertices.
+        a, b, c = icosphere.triangle_corners()
+        sagitta = 0.3 - np.linalg.norm((a + b + c) / 3.0, axis=-1).min()
+        dirs = np.concatenate([rng.normal(size=(2000, 3)), icosphere.vertices])
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        r = rng.uniform(0.3 - 4 * sagitta, 0.3 + 4 * sagitta, size=len(dirs))
+        clear = np.abs(r - 0.3) > sagitta
+        d = exact_point_distance(icosphere, dirs[clear] * r[clear, None])
+        assert np.all(np.sign(d) == np.sign(r[clear] - 0.3))
+
     def test_watertight_flags(self, unit_cube, icosphere):
         assert unit_cube.is_watertight
         assert icosphere.is_watertight
@@ -143,6 +175,19 @@ class TestBuildLinkSdf:
         analytic = primitive_sdf(shape, np.stack([gx, gy, gz], axis=-1))
         significant = np.abs(analytic) > 1e-9
         assert np.all(np.sign(sdf.values[significant]) == np.sign(analytic[significant]))
+
+    def test_box_mesh_signs_match_primitive(self):
+        half = [0.04, 0.04, 0.04]
+        sdf = build_link_sdf(make_box_mesh(half), 0.24, 0.01)
+        gx, gy, gz = np.meshgrid(*[sdf.cell_centers_1d(a) for a in range(3)], indexing="ij")
+        analytic = primitive_sdf(Box(half), np.stack([gx, gy, gz], axis=-1))
+        significant = np.abs(analytic) > 1e-9
+        assert np.all(np.sign(sdf.values[significant]) == np.sign(analytic[significant]))
+
+    @pytest.mark.parametrize("extent, resolution", [(0.3, 0.0), (0.3, -0.05), (0.3, 0.07)])
+    def test_bad_lattice_rejected(self, extent, resolution):
+        with pytest.raises(ValidationError):
+            build_link_sdf(Sphere(0.1), extent, resolution)
 
     def test_open_mesh_builds_unsigned(self, unit_cube, caplog):
         open_mesh = TriangleMesh(unit_cube.vertices, unit_cube.triangles[:-1])
