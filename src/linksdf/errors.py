@@ -31,7 +31,7 @@ class LimitViolationError(ValidationError):
 
 
 class NonWatertightError(LinkSdfError):
-    """Signed distances were requested for a mesh that is not watertight."""
+    """Signed distances were requested for an open or inconsistently oriented mesh."""
 
 
 class GridMismatchError(LinkSdfError):

@@ -109,15 +109,15 @@ class TriangleMesh:
 
     @property
     def is_watertight(self) -> bool:
-        """Every undirected edge is used by exactly two triangles."""
+        """Every edge is shared by two triangles running it in opposite
+        directions: closed and consistently oriented, as the sign needs."""
         if self._watertight is None:
-            tri = self.triangles
-            edges = np.concatenate(
-                [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0
-            )
-            edges = np.sort(edges, axis=1)
-            _, counts = np.unique(edges, axis=0, return_counts=True)
-            self._watertight = bool(np.all(counts == 2))
+            tri, n = self.triangles, len(self.vertices)
+            edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+            fwd = np.sort(edges[:, 0] * n + edges[:, 1])
+            rev = np.sort(edges[:, 1] * n + edges[:, 0])
+            unique = bool(np.all(fwd[1:] != fwd[:-1]))
+            self._watertight = unique and bool(np.array_equal(fwd, rev))
         return self._watertight
 
     def triangle_corners(self):
@@ -245,7 +245,7 @@ def exact_point_distance(
     """
     if signed and not mesh.is_watertight:
         raise NonWatertightError(
-            "signed distance requested on an open mesh; pass signed=False"
+            "signed distance needs a watertight mesh; pass signed=False"
         )
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1

@@ -268,26 +268,11 @@ class ConfigBatch:
 
     @classmethod
     def from_csv(cls, path) -> "ConfigBatch":
-        """One comma-separated row of joint values per line; blank lines and
-        ``#`` comments are skipped."""
-        rows = []
-        with open(path, errors="replace") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    row = [float(x) for x in line.split(",")]
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: not a row of numbers: {line[:60]!r}"
-                    ) from None
-                if rows and len(row) != len(rows[0]):
-                    raise ValidationError(
-                        f"{path}:{lineno}: {len(row)} values, expected {len(rows[0])}"
-                    )
-                rows.append(row)
-        return cls(np.float64(rows) if rows else np.empty((0, 0)))
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (ValueError, UnicodeDecodeError) as err:
+            raise ValidationError(f"{path}: {err}") from None
+        return cls(data)
 
     def to_csv(self, path) -> None:
         np.savetxt(path, self.configurations, delimiter=",")

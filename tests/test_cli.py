@@ -307,7 +307,7 @@ class TestExitCodes:
         traj = tmp_path / "text.csv"
         traj.write_bytes(content)
         assert self._replay(tmp_path, arm3_path, traj) == 2
-        assert "text.csv:2:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {traj}: ")
 
     def test_manifest_line_without_file_is_2(
         self, tmp_path, arm3_path, trajectory_csv, capsys

@@ -90,6 +90,26 @@ class TestExactPointDistance:
         d = exact_point_distance(open_mesh, np.float64([0, 0, 0]), signed=False)
         assert d == pytest.approx(0.5)
 
+    def test_reversed_face_takes_unsigned_path(self, unit_cube, caplog):
+        # With triangle 0 (-x face) reversed the winding number reads +0.05 here.
+        tris = unit_cube.triangles.copy()
+        tris[0] = tris[0, ::-1]
+        flipped = TriangleMesh(unit_cube.vertices, tris)
+        assert not flipped.is_watertight
+        p = np.float64([-0.45, -0.15, 0.15])
+        with pytest.raises(NonWatertightError):
+            exact_point_distance(flipped, p)
+        assert exact_point_distance(flipped, p, signed=False) == pytest.approx(0.05)
+        sdf = build_link_sdf(flipped, 0.6, 0.1)
+        assert sdf.values.min() >= 0.0
+        assert "not watertight" in caplog.text
+
+    def test_inward_faces_keep_the_sign(self, unit_cube):
+        inward = TriangleMesh(unit_cube.vertices, unit_cube.triangles[:, ::-1])
+        assert inward.is_watertight
+        d = exact_point_distance(inward, np.float64([0.05, 0.05, 0.05]))
+        assert d == pytest.approx(-0.45, abs=1e-12)
+
     def test_cube_diagonal_point_is_inside(self, unit_cube):
         # A parity ray from here leaves through a shared vertex.
         d = exact_point_distance(unit_cube, np.float64([0.05, 0.05, 0.05]))
