@@ -418,22 +418,29 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
 
 def run_replay(scenario: Scenario, out_path) -> dict[str, float]:
     """Replay a recorded cloud sequence against prepared robot SDFs."""
-    from .query import iter_cloud_frames, stream_min_distances, write_distance_csv
+    from .query import iter_cloud_frames, write_distance_csv
 
     if scenario.config.clouds_path is None:
         raise ValidationError("replay needs --clouds")
     batch = prepare_robot_sdfs(scenario)
     rows = []
     overall_min = np.inf
-    for stamp, dists in stream_min_distances(
-        batch, iter_cloud_frames(scenario.config.clouds_path)
-    ):
+    points = nonfinite = out_of_grid = 0
+    for stamp, cloud in iter_cloud_frames(scenario.config.clouds_path):
+        obstacles = voxelize_pointcloud(cloud, batch.grid)
+        dists = query_min_distances(batch, obstacles)
         rows.append((stamp, dists))
+        points += obstacles.n_points
+        nonfinite += obstacles.n_nonfinite
+        out_of_grid += obstacles.n_dropped - obstacles.n_nonfinite
         if len(dists):
             overall_min = min(overall_min, float(dists.min()))
     write_distance_csv(out_path, rows, scenario.waypoints.size)
     return {
         "frames": float(len(rows)),
+        "points": float(points),
+        "nonfinite_points": float(nonfinite),
+        "out_of_grid_points": float(out_of_grid),
         "min_distance_m": overall_min,
         "waypoints": float(scenario.waypoints.size),
     }

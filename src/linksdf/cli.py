@@ -156,6 +156,9 @@ def cmd_replay(args) -> int:
     print(
         f"replayed {summary['frames']:.0f} frame(s) over "
         f"{summary['waypoints']:.0f} waypoints; "
+        f"{summary['points']:.0f} point(s), dropped "
+        f"{summary['nonfinite_points']:.0f} non-finite and "
+        f"{summary['out_of_grid_points']:.0f} out of grid; "
         f"min distance {summary['min_distance_m']:.4f} m; wrote {out_path}"
     )
     return EXIT_OK

@@ -5,7 +5,10 @@ Conventions used throughout the library:
 * grids are axis aligned and span ``[-extent, +extent]`` per axis,
 * voxel ``j`` has its center at ``-extent + (j + 0.5) * resolution``,
 * dense value arrays are indexed ``[ix, iy, iz]`` and laid out x-fastest
-  (Fortran order) in memory and on disk,
+  (Fortran order) in memory and on disk; the one exception is the
+  assembled robot SDF batch (``query.RobotSdfBatch``), stored voxel-major
+  as ``(nx, ny, nz, C)`` in C order so a query gathers one contiguous row
+  of C values per voxel,
 * distances are meters, negative strictly inside a surface.
 """
 

@@ -12,6 +12,7 @@ preparation, per-query distance arithmetic) is included for comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,19 +27,39 @@ from .robot import LinkPoseBatch, RobotModel
 
 DEFAULT_BATCH_BYTES = 1 << 30  # refuse to allocate robot SDF batches past 1 GiB
 _SPHERE_CHUNK = 64  # configurations per sphere-baseline block
+_GATHER_CHUNK = 256  # occupied voxels' rows gathered per min step
 
 
 @dataclass(frozen=True, eq=False)
 class RobotSdfBatch:
     """Dense per-configuration robot distance fields over the environment.
 
-    ``values`` has shape (C, nx, ny, nz); voxels never exceed
-    ``d_far_global`` and go negative inside the robot.
+    The fields are stored voxel-major: ``rows`` is a C-contiguous (V, C)
+    array holding the C configurations' values of one voxel per row, rows
+    in C order of (ix, iy, iz). A query then gathers one contiguous row per
+    occupied voxel. ``values`` is the logical (C, nx, ny, nz) array as a
+    read-only view of the same memory, never a copy; a batch built from any
+    other layout is converted once. Voxels never exceed ``d_far_global``
+    and go negative inside the robot.
     """
 
     values: np.ndarray
     grid: EnvGrid
     d_far_global: float
+    rows: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 4 or tuple(shape[1:]) != tuple(self.grid.dims):
+            raise ValidationError(
+                f"robot SDF batch shape {shape} is not (C, *{self.grid.dims.tolist()})"
+            )
+        voxel_major = np.ascontiguousarray(np.moveaxis(self.values, 0, -1))
+        voxel_major.flags.writeable = False
+        object.__setattr__(self, "values", np.moveaxis(voxel_major, -1, 0))
+        object.__setattr__(
+            self, "rows", voxel_major.reshape(self.grid.n_voxels, shape[0])
+        )
 
     @property
     def n_configs(self) -> int:
@@ -47,12 +68,18 @@ class RobotSdfBatch:
 
 @dataclass(frozen=True, eq=False)
 class ObstacleVoxelSet:
-    """Deduplicated occupied voxel indices derived from a point cloud."""
+    """Deduplicated occupied voxel indices derived from a point cloud.
+
+    ``n_dropped`` counts every point not voxelized, ``n_nonfinite`` the
+    share of them with a NaN or infinite coordinate; the rest lie outside
+    the grid.
+    """
 
     indices: np.ndarray
     grid: EnvGrid
     n_points: int
     n_dropped: int
+    n_nonfinite: int = 0
 
     @property
     def n_occupied(self) -> int:
@@ -70,8 +97,9 @@ def assemble_robot_sdfs(
 
     ``fields`` yields (config_index, field) pairs in any order; merging is
     commutative and idempotent. Window cells outside the grid are dropped.
-    Fields are written per configuration, so partitioning work by
-    configuration needs no synchronization.
+    Each field is merged straight into its configuration's column of the
+    voxel-major batch, so the batch is allocated once and never transposed,
+    and partitioning work by configuration needs no synchronization.
     """
     need = n_configs * grid.n_voxels * 4
     if need > max_bytes:
@@ -81,7 +109,7 @@ def assemble_robot_sdfs(
             f"{max_bytes / 2**20:.0f} MiB budget"
         )
     out = np.full(
-        (n_configs,) + tuple(grid.dims), np.float32(d_far_global), dtype=np.float32
+        tuple(grid.dims) + (n_configs,), np.float32(d_far_global), dtype=np.float32
     )
     dims = grid.dims
     for c, field in fields:
@@ -98,31 +126,37 @@ def assemble_robot_sdfs(
             lo[1] - k[1] : hi[1] - k[1],
             lo[2] - k[2] : hi[2] - k[2],
         ]
-        dst = out[c, lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
+        dst = out[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2], c]
         np.minimum(dst, src, out=dst)
-    out.flags.writeable = False
-    return RobotSdfBatch(values=out, grid=grid, d_far_global=float(d_far_global))
+    return RobotSdfBatch(
+        values=np.moveaxis(out, -1, 0), grid=grid, d_far_global=float(d_far_global)
+    )
 
 
 def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
-    """Snap a point cloud to occupied voxel indices, dropping out-of-bounds.
+    """Snap an (N, 3) point cloud to occupied voxel indices.
 
-    Indices are deduplicated and sorted for deterministic downstream use.
+    Non-finite and out-of-grid points are dropped and counted. Indices are
+    deduplicated through an occupancy bitmap over the flat voxel index and
+    come out sorted lexicographically, as ``np.unique(axis=0)`` sorts them.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValidationError(f"point cloud must have shape (N, 3), got {pts.shape}")
+    # NaN fails both comparisons and +-inf one, so inside points are finite.
     inside = np.all((pts >= -grid.extent) & (pts < grid.extent), axis=-1)
-    kept = pts[inside]
-    if len(kept):
-        idx = voxel_index_of(kept, grid)
-        idx = np.unique(idx, axis=0)
-    else:
-        idx = np.empty((0, 3), dtype=np.int64)
+    flat = np.ravel_multi_index(voxel_index_of(pts[inside], grid).T, grid.dims)
+    occupied = np.zeros(grid.n_voxels, dtype=bool)
+    occupied[flat] = True
+    idx = np.stack(np.unravel_index(np.flatnonzero(occupied), grid.dims), axis=-1)
     idx.flags.writeable = False
+    dropped = pts[~inside]
     return ObstacleVoxelSet(
         indices=idx,
         grid=grid,
         n_points=len(pts),
-        n_dropped=int(len(pts) - inside.sum()),
+        n_dropped=len(dropped),
+        n_nonfinite=int(len(dropped) - np.isfinite(dropped).all(axis=-1).sum()),
     )
 
 
@@ -133,9 +167,10 @@ def query_min_distances(
 ):
     """Minimum robot-obstacle distance per configuration.
 
-    A gather of the occupied voxels' values from every configuration's
-    field followed by a min reduction; nothing else. An empty obstacle set
-    yields the far sentinel everywhere.
+    A gather of the occupied voxels' rows of the voxel-major batch, in
+    chunks of ``_GATHER_CHUNK`` rows, followed by a running min; nothing
+    else. An empty obstacle set yields the far sentinel everywhere, and an
+    index outside the grid raises ``ValidationError``.
     """
     if not batch.grid.same_geometry(obstacles.grid):
         raise GridMismatchError("obstacle set was voxelized on a different grid")
@@ -143,11 +178,18 @@ def query_min_distances(
     if obstacles.n_occupied == 0:
         d = np.full(c, np.float32(batch.d_far_global), dtype=np.float32)
         return (d, {"gathers": 0}) if return_stats else d
-    ix, iy, iz = obstacles.indices.T
-    gathered = batch.values[:, ix, iy, iz]
-    d = gathered.min(axis=1)
+    try:
+        flat = np.ravel_multi_index(tuple(obstacles.indices.T), batch.grid.dims)
+    except ValueError:
+        raise ValidationError(
+            f"obstacle voxel indices fall outside the grid dims {batch.grid.dims.tolist()}"
+        ) from None
+    rows = batch.rows
+    d = rows[flat[:_GATHER_CHUNK]].min(axis=0)
+    for s in range(_GATHER_CHUNK, len(flat), _GATHER_CHUNK):
+        np.minimum(d, rows[flat[s : s + _GATHER_CHUNK]].min(axis=0), out=d)
     if return_stats:
-        return d, {"gathers": int(gathered.size)}
+        return d, {"gathers": c * len(flat)}
     return d
 
 

@@ -263,6 +263,23 @@ class TestReplay:
         assert all(b <= a + 1e-7 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < dists[0]
 
+    def test_reports_dropped_point_totals(
+        self, tmp_path, arm3_path, trajectory_csv, capsys
+    ):
+        frames = [
+            np.float64([[0.1, 0.1, 0.1], [np.nan, 0.0, 0.0], [0.9, 0.0, 0.0]]),
+            np.float64([[0.0, np.inf, 0.0], [0.0, 0.0, 0.5], [0.2, 0.2, -0.5]]),
+        ]
+        manifest = self._manifest(tmp_path, frames)
+        argv = (
+            ["replay"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--clouds", str(manifest), "--out", str(tmp_path / "d.csv")]
+        )
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "6 point(s), dropped 2 non-finite and 2 out of grid" in out
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, arm3_path, trajectory_csv):

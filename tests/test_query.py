@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksdf import (
     EnvGrid,
@@ -24,6 +26,7 @@ from linksdf import (
     validate_sphere_model,
     voxelize_pointcloud,
 )
+from linksdf.grids import voxel_index_of
 from linksdf.query import (
     iter_cloud_frames,
     read_cloud_manifest,
@@ -135,6 +138,52 @@ class TestVoxelize:
         expected = 1.0 - (1.0 - 1.0 / grid.n_voxels) ** n
         assert abs(out.n_occupied / grid.n_voxels - expected) <= 0.02
 
+    def test_nonfinite_counted_apart_from_out_of_grid(self, grid):
+        pts = np.float64(
+            [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+             [0.0, 0.0, -np.inf], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        )
+        out = voxelize_pointcloud(pts, grid)
+        assert (out.n_points, out.n_dropped, out.n_nonfinite) == (6, 5, 3)
+        assert out.n_occupied == 1
+
+    @pytest.mark.parametrize("shape", [(6, 2), (4, 2), (3, 4), (9,), (2, 3, 3)])
+    def test_cloud_must_be_n_by_3(self, grid, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            voxelize_pointcloud(np.zeros(shape), grid)
+
+
+# Anisotropic, so a swapped axis in the flat index would show.
+VOX_GRID = EnvGrid(extent=[0.5, 0.3, 0.2], resolution=[0.1, 0.1, 0.05])
+_FACES = [
+    float(-e + k * r)
+    for e, r, n in zip(VOX_GRID.extent, VOX_GRID.resolution, VOX_GRID.dims)
+    for k in range(n + 1)
+]
+_coordinate = st.one_of(
+    st.floats(-0.6, 0.6, allow_nan=False),
+    st.sampled_from(_FACES),
+    st.sampled_from([0.5, -0.5, 0.3, -0.3, 0.2, -0.2, np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rows=st.lists(st.tuples(_coordinate, _coordinate, _coordinate), max_size=40))
+def test_voxelize_matches_unique_rows(rows):
+    pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    out = voxelize_pointcloud(pts, VOX_GRID)
+    finite = np.isfinite(pts).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        inside = finite & np.all(
+            (pts >= -VOX_GRID.extent) & (pts < VOX_GRID.extent), axis=1
+        )
+    expected = np.unique(voxel_index_of(pts[inside], VOX_GRID), axis=0).reshape(-1, 3)
+    assert out.indices.dtype == expected.dtype
+    assert np.array_equal(out.indices, expected)
+    assert out.n_points == len(pts)
+    assert out.n_dropped == len(pts) - inside.sum()
+    assert out.n_nonfinite == len(pts) - finite.sum()
+
 
 def random_batch(grid, rng, n_configs=6, d_far=0.5):
     values = rng.uniform(-0.3, d_far, size=(n_configs,) + tuple(grid.dims)).astype(
@@ -191,6 +240,87 @@ class TestQuery:
         d1 = query_min_distances(batch, obstacle_set(grid, idx))
         d2 = query_min_distances(batch, obstacle_set(grid, idx[::-1]))
         assert np.array_equal(d1, d2)
+
+    @pytest.mark.parametrize("n_occupied", [0, 1, 255, 256, 257, 513])
+    def test_gather_chunk_boundaries(self, grid, rng, n_occupied):
+        flat = np.sort(rng.choice(grid.n_voxels, size=n_occupied, replace=False))
+        idx = np.stack(np.unravel_index(flat, grid.dims), axis=-1).reshape(-1, 3)
+        values = rng.uniform(-0.3, 0.5, size=(7,) + tuple(grid.dims)).astype(np.float32)
+        # Put configuration k's minimum on the k-th voxel either side of a
+        # chunk edge, so a gather that skips a row there changes the result.
+        edges = [0, 255, 256, 511, 512, n_occupied - 1]
+        for k, at in enumerate(p for p in edges if 0 <= p < n_occupied):
+            values[(k,) + tuple(idx[at])] = -1.0
+        batch = RobotSdfBatch(values=values, grid=grid, d_far_global=0.5)
+        obstacles = obstacle_set(grid, idx)
+        d, stats = query_min_distances(batch, obstacles, return_stats=True)
+        if n_occupied:
+            brute = batch.values[:, idx[:, 0], idx[:, 1], idx[:, 2]].min(axis=1)
+        else:
+            brute = np.full(7, np.float32(0.5))
+        assert d.dtype == np.float32
+        assert np.array_equal(d, brute)
+        assert stats["gathers"] == 7 * n_occupied
+
+    @pytest.mark.parametrize(
+        "index", [[-1, 0, 0], [0, -1, 0], [0, 0, 20], [20, 0, 0], [0, 25, 3]]
+    )
+    def test_out_of_grid_index_rejected(self, grid, rng, index):
+        batch = random_batch(grid, rng)
+        obstacles = ObstacleVoxelSet(
+            indices=np.int64([[1, 2, 3], index]), grid=grid, n_points=2, n_dropped=0
+        )
+        with pytest.raises(ValidationError, match="outside the grid"):
+            query_min_distances(batch, obstacles)
+
+
+class TestBatchLayout:
+    def test_values_is_read_only_view_of_rows(self, grid, rng):
+        field = field_at(rng.uniform(-0.2, 0.4, size=(4, 4, 4)), [3, 5, 7])
+        batch = assemble_robot_sdfs([(1, field)], grid, 3, 0.5)
+        assert batch.rows.shape == (grid.n_voxels, 3)
+        assert batch.rows.flags.c_contiguous
+        assert np.shares_memory(batch.values, batch.rows)
+        assert batch.values.shape == (3,) + tuple(grid.dims)
+        for arr in (batch.values, batch.rows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        flat = np.ravel_multi_index((4, 6, 8), grid.dims)
+        assert np.array_equal(batch.rows[flat], batch.values[:, 4, 6, 8])
+
+    def test_config_major_input_converted_once(self, grid, rng):
+        values = rng.uniform(-0.3, 0.5, size=(5,) + tuple(grid.dims)).astype(np.float32)
+        batch = RobotSdfBatch(values=values, grid=grid, d_far_global=0.5)
+        assert np.array_equal(batch.values, values)
+        assert not np.shares_memory(batch.values, values)
+        assert np.shares_memory(batch.values, batch.rows)
+        again = RobotSdfBatch(values=batch.values, grid=grid, d_far_global=0.5)
+        assert np.shares_memory(again.rows, batch.rows)
+
+    def test_wrong_shape_rejected(self, grid):
+        with pytest.raises(ValidationError, match="shape"):
+            RobotSdfBatch(values=np.zeros((2, 20, 20)), grid=grid, d_far_global=0.5)
+        with pytest.raises(ValidationError, match="shape"):
+            RobotSdfBatch(values=np.zeros((2, 20, 20, 19)), grid=grid, d_far_global=0.5)
+
+    def test_shuffled_fields_bit_identical(self, grid):
+        links = [
+            build_link_sdf(Sphere(r), extent=0.3, resolution=0.02, link_id=i)
+            for i, r in enumerate((0.12, 0.08))
+        ]
+        provider = ExactTransformProvider(WindowGeometry.build(0.3, grid))
+        rng = np.random.default_rng(11)
+        n = 5
+        rot = np.broadcast_to(np.eye(3), (n, 2, 3, 3)).copy()
+        poses = LinkPoseBatch(rotations=rot, translations=rng.uniform(-0.9, 0.9, (n, 2, 3)))
+        fields = [(c, f) for c, _, f in place_links_batch(links, poses, grid, provider)]
+        d_far = min(link.d_far for link in links)
+        ordered = assemble_robot_sdfs(fields, grid, n, d_far)
+        shuffled = [fields[i] for i in rng.permutation(len(fields))]
+        mixed = assemble_robot_sdfs(shuffled, grid, n, d_far)
+        assert ordered.rows.tobytes() == mixed.rows.tobytes()
+        assert np.any(ordered.values < np.float32(d_far))
 
 
 @pytest.fixture(scope="module")
