@@ -14,7 +14,6 @@ from .approx import (
     evaluate_approximator,
     infer_grid_transform,
     masked_window_points,
-    sample_rotation,
     sample_rotations,
     train_approximator,
 )

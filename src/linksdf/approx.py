@@ -61,11 +61,6 @@ def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def sample_rotation(rng: np.random.Generator) -> np.ndarray:
-    """One uniform random rotation matrix."""
-    return sample_rotations(rng, 1)[0]
-
-
 def masked_window_points(width: int) -> np.ndarray:
     """Canonical kept-cell point set for an isotropic window of given width."""
     if width < 2 or width % 2:

@@ -99,11 +99,21 @@ def voxel_index_of(points: np.ndarray, grid: EnvGrid) -> np.ndarray:
         raise OutOfBoundsError(
             f"{int(bad.sum())} point(s) outside grid, e.g. {first.tolist()}"
         )
-    idx = np.floor((pts2 + grid.extent) / grid.resolution).astype(np.int64)
-    # In-bounds points can still land on dims due to rounding right at the
-    # upper face; clamp keeps the floor semantics consistent.
-    np.clip(idx, 0, grid.dims - 1, out=idx)
+    idx = np.stack(_voxel_index_columns(pts2, grid), axis=-1)
     return idx[0] if scalar else idx.reshape(pts.shape)
+
+
+def _voxel_index_columns(points: np.ndarray, grid: EnvGrid) -> list[np.ndarray]:
+    """Per-axis voxel index columns of (..., 3) points already in the grid.
+
+    In-bounds points can still land on dims due to rounding right at the
+    upper face; the clip keeps the floor semantics consistent.
+    """
+    columns = []
+    for a in range(3):
+        i = np.floor((points[..., a] + grid.extent[a]) / grid.resolution[a])
+        columns.append(np.clip(i.astype(np.int64), 0, grid.dims[a] - 1))
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,40 +158,56 @@ class LinkSdf:
 def trilinear_sample(sdf: LinkSdf, points: np.ndarray) -> np.ndarray:
     """Trilinearly interpolate the link SDF at points in the link frame.
 
-    Points outside the convex hull of the stored cell centers return the
-    conservative sentinel ``sdf.d_far``; no extrapolation is performed.
+    ``points`` is one point ``(3,)`` or a batch ``(..., 3)`` in any memory
+    layout; the result is float32 of shape ``points.shape[:-1]``. The index
+    math runs per axis on the columns ``points[..., a]``, so a batch stored
+    as ``(B, 3, V)`` and viewed as ``(B, V, 3)`` (what
+    :func:`linksdf.placement.grid_transform_exact` returns) is read without a
+    copy. The caller's array is never written. Points outside the convex
+    hull of the stored cell centers return the conservative sentinel
+    ``sdf.d_far``; no extrapolation is performed.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts2 = pts.reshape(-1, 3)
+    scalar = np.ndim(points) == 1
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[-1] != 3:
+        raise ValidationError(f"points must have shape (..., 3), got {pts.shape}")
 
-    # Continuous cell coordinate: cell centers sit at integer u.
-    u = (pts2 + sdf.extent) / sdf.resolution - 0.5
-    hi = (sdf.dims - 1).astype(np.float64)
-    inside = np.all((u >= 0.0) & (u <= hi), axis=-1)
+    # Continuous cell coordinate per axis: cell centers sit at integer u.
+    # A point is inside when clipping to [0, dims-1] leaves every u as it
+    # was; NaN never compares equal, so it is outside too.
+    inside = np.ones(pts.shape[:-1], dtype=bool)
+    base = np.zeros(pts.shape[:-1], dtype=np.int64)
+    f = []
+    stride = 1
+    for a in range(3):
+        u = (pts[..., a] + sdf.extent[a]) / sdf.resolution[a] - 0.5
+        uc = np.clip(u, 0.0, float(sdf.dims[a] - 1))
+        inside &= uc == u
+        i0 = np.minimum(uc.astype(np.int64), sdf.dims[a] - 2)
+        f.append((uc - i0).astype(np.float32))
+        base += i0 * stride
+        stride *= int(sdf.dims[a])
 
-    uc = np.clip(u, 0.0, hi)
-    i0 = np.minimum(uc.astype(np.int64), sdf.dims - 2)
-    f = (uc - i0).astype(np.float32)
-
+    # Corner (dx, dy, dz) of every cell is one gather from the x-fastest
+    # values shifted by dx + nx*dy + nx*ny*dz.
     nx, ny = int(sdf.dims[0]), int(sdf.dims[1])
     flat = sdf.values.ravel(order="F")  # view: x-fastest layout
-    base = i0[:, 0] + nx * (i0[:, 1] + ny * i0[:, 2])
-    sx, sy, sz = 1, nx, nx * ny
+    shifts = [dx + nx * (dy + ny * dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+    v = [np.take(flat[s:], base) for s in shifts]
 
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    fx, fy, fz = f
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
 
-    c00 = flat[base] * gx + flat[base + sx] * fx
-    c10 = flat[base + sy] * gx + flat[base + sx + sy] * fx
-    c01 = flat[base + sz] * gx + flat[base + sx + sz] * fx
-    c11 = flat[base + sy + sz] * gx + flat[base + sx + sy + sz] * fx
+    c00 = v[0] * gx + v[1] * fx
+    c10 = v[2] * gx + v[3] * fx
+    c01 = v[4] * gx + v[5] * fx
+    c11 = v[6] * gx + v[7] * fx
     c0 = c00 * gy + c10 * fy
     c1 = c01 * gy + c11 * fy
     out = c0 * gz + c1 * fz
 
-    out = np.where(inside, out, np.float32(sdf.d_far)).astype(np.float32)
-    return out[0] if scalar else out.reshape(pts.shape[:-1])
+    out[~inside] = np.float32(sdf.d_far)
+    return out[0] if scalar else out
 
 
 @dataclass(frozen=True, eq=False)

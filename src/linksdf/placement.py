@@ -153,7 +153,11 @@ def grid_transform_exact(rotations, delta_t, extent_r, points: np.ndarray):
     each environment sample lands in the (normalized) link frame.
 
     ``rotations`` is (3, 3) or (B, 3, 3); ``delta_t`` matches with (3,) or
-    (B, 3); returns (V, 3) or (B, V, 3).
+    (B, 3); ``points`` is (V, 3). The product is formed in column layout,
+    ``(B, 3, V)`` with each coordinate's V values contiguous, and returned
+    as a (V, 3) or (B, V, 3) view of it, so the sampler reads each column
+    without a copy. The values are bit for bit those of the row form
+    ``points @ r + delta_t_inv``. No input is written.
     """
     e_r = _iso_extent(extent_r)
     r = np.asarray(rotations, dtype=np.float64)
@@ -162,10 +166,10 @@ def grid_transform_exact(rotations, delta_t, extent_r, points: np.ndarray):
     r = r.reshape(-1, 3, 3)
     dt = dt.reshape(-1, 3)
 
-    # Row-vector form: G_row = (R^T p)^T = p^T R; batched matmul hits BLAS.
-    g = np.matmul(points[None], r)
+    g = np.swapaxes(r, 1, 2) @ points.T
     dt_inv = -np.einsum("bj,bjk->bk", dt / e_r, r)
-    g += dt_inv[:, None, :]
+    g += dt_inv[:, :, None]
+    g = np.swapaxes(g, 1, 2)
     return g[0] if single else g
 
 
@@ -289,9 +293,7 @@ def place_links_batch(
         for c0 in range(0, n_configs, chunk):
             c1 = min(c0 + chunk, n_configs)
             g = provider.transform(poses.rotations[c0:c1, li], deltas[c0:c1, li])
-            samples = trilinear_sample(
-                sdf, (g * window.extent).reshape(-1, 3)
-            ).reshape(c1 - c0, window.n_masked)
+            samples = trilinear_sample(sdf, g * window.extent)
             for ci in range(c0, c1):
                 flat = np.full(window.n_cells, np.float32(sdf.d_far), dtype=np.float32)
                 flat[mask_flat] = samples[ci - c0]

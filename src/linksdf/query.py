@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .grids import EnvGrid, SdfSampleField, _read_exact, voxel_index_of
+from .grids import EnvGrid, SdfSampleField, _read_exact, _voxel_index_columns
 from .meshes import TriangleMesh, primitive_surface_points
 from .robot import LinkPoseBatch, RobotModel
 
@@ -143,9 +143,12 @@ def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValidationError(f"point cloud must have shape (N, 3), got {pts.shape}")
-    # NaN fails both comparisons and +-inf one, so inside points are finite.
-    inside = np.all((pts >= -grid.extent) & (pts < grid.extent), axis=-1)
-    flat = np.ravel_multi_index(voxel_index_of(pts[inside], grid).T, grid.dims)
+    # Per-axis columns. NaN fails both comparisons and +-inf one, so inside
+    # points are finite.
+    inside = np.ones(len(pts), dtype=bool)
+    for a in range(3):
+        inside &= (pts[:, a] >= -grid.extent[a]) & (pts[:, a] < grid.extent[a])
+    flat = np.ravel_multi_index(_voxel_index_columns(pts[inside], grid), grid.dims)
     occupied = np.zeros(grid.n_voxels, dtype=bool)
     occupied[flat] = True
     idx = np.stack(np.unravel_index(np.flatnonzero(occupied), grid.dims), axis=-1)

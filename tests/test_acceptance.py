@@ -183,7 +183,7 @@ class TestCriterion2:
         exact = ExactTransformProvider(window)
         neural = NeuralTransformProvider(model, window)
         rng = np.random.default_rng(11)
-        from linksdf.approx import sample_rotation
+        from linksdf.approx import sample_rotations
         from linksdf.placement import compute_alignment
 
         sentinel = np.float32(link.d_far)
@@ -192,7 +192,7 @@ class TestCriterion2:
         worst = 0.0
         flipped_total = 0
         for _ in range(100):
-            r = sample_rotation(rng)
+            (r,) = sample_rotations(rng, 1)
             t = rng.uniform(-0.4, 0.4, size=3)
             fe = place_link(link, r, t, grid, exact)
             fn = place_link(link, r, t, grid, neural)

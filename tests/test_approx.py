@@ -15,7 +15,6 @@ from linksdf import (
     grid_transform_exact,
     infer_grid_transform,
     masked_window_points,
-    sample_rotation,
     sample_rotations,
     train_approximator,
 )
@@ -39,7 +38,7 @@ class TestSampleRotation:
         assert np.abs(np.linalg.norm(r, axis=1) - 1).max() <= 1e-6  # column norms
 
     def test_single(self, rng):
-        r = sample_rotation(rng)
+        (r,) = sample_rotations(rng, 1)
         assert r.shape == (3, 3)
         assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-9
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksdf import (
     EnvGrid,
@@ -128,6 +130,147 @@ class TestTrilinearSample:
                     hi = np.maximum(hi, corner)
         assert np.all(out >= lo - 1e-6)
         assert np.all(out <= hi + 1e-6)
+
+
+def row_form_sample(sdf: LinkSdf, points: np.ndarray) -> np.ndarray:
+    """The sampler written on (N, 3) rows, kept as the bit-exact reference."""
+    pts = np.asarray(points, dtype=np.float64)
+    scalar = pts.ndim == 1
+    pts2 = pts.reshape(-1, 3)
+    u = (pts2 + sdf.extent) / sdf.resolution - 0.5
+    hi = (sdf.dims - 1).astype(np.float64)
+    inside = np.all((u >= 0.0) & (u <= hi), axis=-1)
+    uc = np.clip(u, 0.0, hi)
+    i0 = np.minimum(uc.astype(np.int64), sdf.dims - 2)
+    f = (uc - i0).astype(np.float32)
+    nx, ny = int(sdf.dims[0]), int(sdf.dims[1])
+    flat = sdf.values.ravel(order="F")
+    base = i0[:, 0] + nx * (i0[:, 1] + ny * i0[:, 2])
+    sx, sy, sz = 1, nx, nx * ny
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    c00 = flat[base] * gx + flat[base + sx] * fx
+    c10 = flat[base + sy] * gx + flat[base + sx + sy] * fx
+    c01 = flat[base + sz] * gx + flat[base + sx + sz] * fx
+    c11 = flat[base + sy + sz] * gx + flat[base + sx + sy + sz] * fx
+    c0 = c00 * gy + c10 * fy
+    c1 = c01 * gy + c11 * fy
+    out = c0 * gz + c1 * fz
+    out = np.where(inside, out, np.float32(sdf.d_far)).astype(np.float32)
+    return out[0] if scalar else out.reshape(pts.shape[:-1])
+
+
+# Anisotropic, not a power of two, random values: a swapped axis, a wrong
+# stride or a wrong corner shows in the sampled value.
+KERNEL_SDF = LinkSdf(
+    extent=[0.3, 0.25, 0.2],
+    resolution=[0.05, 0.05, 0.04],
+    values=np.random.default_rng(5).normal(size=(12, 10, 10)).astype(np.float32),
+    link_id=0,
+)
+
+
+def _centres(a: int) -> np.ndarray:
+    return KERNEL_SDF.cell_centers_1d(a)
+
+
+def _faces(a: int) -> np.ndarray:
+    e, r, n = KERNEL_SDF.extent[a], KERNEL_SDF.resolution[a], KERNEL_SDF.dims[a]
+    return -e + np.arange(n + 1) * r
+
+
+def _axis_coordinate(a: int):
+    e, r = KERNEL_SDF.extent[a], KERNEL_SDF.resolution[a]
+    hull = [-e + r / 2, e - r / 2]
+    special = [*_centres(a), *_faces(a), *hull, *np.nextafter(hull, [-np.inf, np.inf])]
+    return st.one_of(
+        st.floats(-e - 0.1, e + 0.1),
+        st.sampled_from([float(x) for x in special] + [np.inf, -np.inf]),
+    )
+
+
+_point = st.tuples(*(_axis_coordinate(a) for a in range(3)))
+
+
+def _laid_out(pts: np.ndarray, layout: str) -> np.ndarray:
+    """The same (N, 3) values in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(pts)
+    if layout == "transposed":
+        return np.ascontiguousarray(pts.T).T
+    if layout == "strided":
+        big = np.zeros((2 * len(pts), 5))
+        big[::2, 1:4] = pts
+        return big[::2, 1:4]
+    return pts.copy()
+
+
+def _outside_hull(pts: np.ndarray) -> np.ndarray:
+    """Points clear of the stored cell centres' hull by more than rounding."""
+    half = KERNEL_SDF.extent - KERNEL_SDF.resolution / 2
+    return np.any(np.abs(pts) > half + 1e-9, axis=-1)
+
+
+class TestTrilinearKernel:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        rows=st.lists(_point, max_size=30),
+        layout=st.sampled_from(["c", "fortran", "transposed", "strided"]),
+    )
+    def test_rows_match_row_form(self, rows, layout):
+        pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        arg = _laid_out(pts, layout)
+        before = arg.copy()
+        got = trilinear_sample(KERNEL_SDF, arg)
+        assert got.dtype == np.float32 and got.shape == (len(pts),)
+        assert np.array_equal(got, row_form_sample(KERNEL_SDF, pts))
+        assert np.all(got[_outside_hull(pts)] == np.float32(KERNEL_SDF.d_far))
+        assert np.array_equal(arg, before)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_column_batch_matches_row_form(self, data):
+        # (B, V, 3) viewed from a (B, 3, V) array, as the window transform
+        # returns it.
+        b = data.draw(st.integers(1, 4))
+        v = data.draw(st.integers(0, 12))
+        rows = data.draw(st.lists(_point, min_size=b * v, max_size=b * v))
+        pts = np.array(rows, dtype=np.float64).reshape(b, v, 3)
+        columns = np.ascontiguousarray(pts.transpose(0, 2, 1))
+        before = columns.copy()
+        got = trilinear_sample(KERNEL_SDF, columns.transpose(0, 2, 1))
+        assert got.shape == (b, v)
+        expected = row_form_sample(KERNEL_SDF, pts.reshape(-1, 3)).reshape(b, v)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(columns, before)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(point=_point)
+    def test_single_point_matches_row_form(self, point):
+        p = np.array(point, dtype=np.float64)
+        got = trilinear_sample(KERNEL_SDF, p)
+        assert isinstance(got, np.float32)
+        assert got == row_form_sample(KERNEL_SDF, p)
+
+    @pytest.mark.parametrize("which", ["centres", "faces"])
+    def test_every_centre_and_face(self, which):
+        axes = [_centres(a) if which == "centres" else _faces(a) for a in range(3)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        got = trilinear_sample(KERNEL_SDF, pts)
+        assert got.shape == pts.shape[:-1]
+        assert np.array_equal(got.ravel(), row_form_sample(KERNEL_SDF, pts.reshape(-1, 3)))
+        if which == "faces":
+            # The outer faces lie half a cell beyond the hull.
+            assert np.all(got[[0, -1]] == np.float32(KERNEL_SDF.d_far))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_empty(self, shape):
+        got = trilinear_sample(KERNEL_SDF, np.zeros(shape))
+        assert got.shape == shape[:-1] and got.dtype == np.float32
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            trilinear_sample(KERNEL_SDF, np.zeros((4, 2)))
 
 
 class TestLinkSdfContainer:

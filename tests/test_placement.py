@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import linksdf.grids
+import linksdf.placement
 from linksdf import (
     EnvGrid,
     ExactTransformProvider,
+    NeuralTransformProvider,
     NoOverlapError,
     Sphere,
+    TinyMlp,
     ValidationError,
     WindowGeometry,
     build_link_sdf,
@@ -20,7 +24,7 @@ from linksdf import (
     sphere_mask,
     window_dims,
 )
-from linksdf.approx import sample_rotations
+from linksdf.approx import infer_grid_transform, sample_rotations
 from linksdf.robot import LinkPoseBatch
 
 
@@ -152,6 +156,59 @@ class TestGridTransformExact:
         assert np.abs(recovered - p[None] * 0.3).max() <= 1e-6
 
 
+def row_form_transform(rotations, delta_t, e_r, points):
+    """The window transform written on (V, 3) rows: ``points @ r + dt_inv``."""
+    r = np.asarray(rotations, dtype=np.float64)
+    single = r.ndim == 2
+    r = r.reshape(-1, 3, 3)
+    dt = np.asarray(delta_t, dtype=np.float64).reshape(-1, 3)
+    g = np.matmul(points[None], r)
+    g += -np.einsum("bj,bjk->bk", dt / e_r, r)[:, None, :]
+    return g[0] if single else g
+
+
+class TestColumnTransform:
+    def test_single_pose_equals_row_form(self, window, rng):
+        p = window.masked_points
+        for r in sample_rotations(rng, 8):
+            dt = rng.uniform(-0.05, 0.05, size=3)
+            g = grid_transform_exact(r, dt, 0.3, p)
+            assert g.shape == (len(p), 3)
+            assert np.array_equal(g, row_form_transform(r, dt, 0.3, p))
+
+    def test_batch_equals_row_form(self, grid, rng):
+        p = canonical_points(0.3, grid)
+        r = sample_rotations(rng, 64)
+        dt = rng.uniform(-0.05, 0.05, size=(64, 3))
+        before = (r.copy(), dt.copy(), p.copy())
+        g = grid_transform_exact(r, dt, 0.3, p)
+        assert g.shape == (64, len(p), 3)
+        assert np.array_equal(g, row_form_transform(r, dt, 0.3, p))
+        for arg, old in zip((r, dt, p), before):
+            assert np.array_equal(arg, old)
+
+    def test_columns_are_contiguous(self, window, rng):
+        # Each coordinate's V values sit next to each other in memory, so
+        # the sampler reads them without a copy.
+        g = grid_transform_exact(
+            sample_rotations(rng, 3), np.zeros((3, 3)), 0.3, window.masked_points
+        )
+        assert g[:, :, 0].strides[-1] == g.itemsize
+        assert np.swapaxes(g, 1, 2).flags.c_contiguous
+
+    def test_neural_provider_unchanged(self, window, rng):
+        model = TinyMlp.initial(window.n_masked, hidden=24, seed=3)
+        r = sample_rotations(rng, 5)
+        dt = rng.uniform(-0.05, 0.05, size=(5, 3))
+        got = NeuralTransformProvider(model, window).transform(r, dt)
+        expected = model.predict(r).astype(np.float64) + row_form_transform(
+            r, dt, 0.3, np.zeros((1, 3))
+        )
+        assert got.shape == (5, window.n_masked, 3)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(infer_grid_transform(model, r, dt, 0.3), expected)
+
+
 class TestPlaceLink:
     def test_identity_pose_matches_analytic(self, grid, window, sphere_link):
         provider = ExactTransformProvider(window)
@@ -250,3 +307,39 @@ class TestPlaceLinksBatch:
         )
         with pytest.raises(ValidationError):
             list(place_links_batch([sphere_link], poses, grid, ExactTransformProvider(window)))
+
+
+class TestSamplerLookup:
+    """Placement samples through the module-level ``trilinear_sample`` name.
+
+    Tools that time or count sampling replace that name, so placement must
+    look it up on every call and call it once per (link, config chunk).
+    """
+
+    def test_one_call_per_link_and_chunk(self, grid, window, sphere_link, rng, monkeypatch):
+        assert linksdf.placement.trilinear_sample is linksdf.grids.trilinear_sample
+        other = build_link_sdf(Sphere(0.12), extent=0.3, resolution=0.01, link_id=1)
+        n_configs, n_links, chunk = 7, 2, 3
+        poses = LinkPoseBatch(
+            rotations=sample_rotations(rng, n_configs * n_links).reshape(
+                n_configs, n_links, 3, 3
+            ),
+            translations=rng.uniform(-0.3, 0.3, size=(n_configs, n_links, 3)),
+        )
+        calls = []
+
+        def counting(sdf, points):
+            out = linksdf.grids.trilinear_sample(sdf, points)
+            calls.append((sdf.link_id, out.size))
+            return out
+
+        monkeypatch.setattr(linksdf.placement, "trilinear_sample", counting)
+        placed = list(
+            place_links_batch(
+                [sphere_link, other], poses, grid, ExactTransformProvider(window), chunk=chunk
+            )
+        )
+        assert len(placed) == n_configs * n_links
+        n_chunks = -(-n_configs // chunk)
+        assert [lid for lid, _ in calls] == [0] * n_chunks + [1] * n_chunks
+        assert sum(n for _, n in calls) == n_configs * n_links * window.n_masked
