@@ -27,10 +27,13 @@ from .query import (
     RobotSdfBatch,
     SphereRobotModel,
     assemble_robot_sdfs,
+    iter_cloud_frames,
     query_min_distances,
     sphere_baseline_distances,
+    stream_min_distances,
     validate_sphere_model,
     voxelize_pointcloud,
+    write_distance_csv,
 )
 from .robot import (
     ConfigBatch,
@@ -204,13 +207,10 @@ def _timed_prepare(scenario: Scenario) -> tuple[RobotSdfBatch, float, float]:
 
 
 def random_obstacles(scenario: Scenario, rng: np.random.Generator) -> ObstacleVoxelSet:
-    idx = np.unique(
-        rng.integers(0, scenario.grid.dims, size=(scenario.config.n_obstacles, 3)),
-        axis=0,
-    )
-    return ObstacleVoxelSet(
-        indices=idx, grid=scenario.grid, n_points=len(idx), n_dropped=0
-    )
+    dims = scenario.grid.dims
+    draws = rng.integers(0, dims, size=(scenario.config.n_obstacles, 3))
+    flat = np.unique(np.ravel_multi_index(tuple(draws.T), dims))
+    return ObstacleVoxelSet(flat=flat, grid=scenario.grid, n_points=len(flat), n_dropped=0)
 
 
 def _time(fn, reps: int, warmup: int = 2) -> tuple[float, float, object]:
@@ -352,8 +352,6 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
         )
 
     if config.clouds_path is not None:
-        from .query import iter_cloud_frames
-
         _, points = next(iter(iter_cloud_frames(config.clouds_path)))
         obstacles = voxelize_pointcloud(points, scenario.grid)
     else:
@@ -418,29 +416,23 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
 
 def run_replay(scenario: Scenario, out_path) -> dict[str, float]:
     """Replay a recorded cloud sequence against prepared robot SDFs."""
-    from .query import iter_cloud_frames, write_distance_csv
-
     if scenario.config.clouds_path is None:
         raise ValidationError("replay needs --clouds")
     batch = prepare_robot_sdfs(scenario)
+    frames = iter_cloud_frames(scenario.config.clouds_path)
     rows = []
-    overall_min = np.inf
     points = nonfinite = out_of_grid = 0
-    for stamp, cloud in iter_cloud_frames(scenario.config.clouds_path):
-        obstacles = voxelize_pointcloud(cloud, batch.grid)
-        dists = query_min_distances(batch, obstacles)
+    for stamp, obstacles, dists in stream_min_distances(batch, frames):
         rows.append((stamp, dists))
         points += obstacles.n_points
         nonfinite += obstacles.n_nonfinite
         out_of_grid += obstacles.n_dropped - obstacles.n_nonfinite
-        if len(dists):
-            overall_min = min(overall_min, float(dists.min()))
     write_distance_csv(out_path, rows, scenario.waypoints.size)
     return {
         "frames": float(len(rows)),
         "points": float(points),
         "nonfinite_points": float(nonfinite),
         "out_of_grid_points": float(out_of_grid),
-        "min_distance_m": overall_min,
+        "min_distance_m": min((float(d.min()) for _, d in rows), default=np.inf),
         "waypoints": float(scenario.waypoints.size),
     }

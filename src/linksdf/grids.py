@@ -8,7 +8,7 @@ Conventions used throughout the library:
   (Fortran order) in memory and on disk; the one exception is the
   assembled robot SDF batch (``query.RobotSdfBatch``), stored voxel-major
   as ``(nx, ny, nz, C)`` in C order so a query gathers one contiguous row
-  of C values per voxel,
+  of C values per voxel, row ``k`` for the voxel of C-order flat id ``k``,
 * distances are meters, negative strictly inside a surface.
 """
 
@@ -174,7 +174,7 @@ def trilinear_sample(sdf: LinkSdf, points: np.ndarray) -> np.ndarray:
 
     # Continuous cell coordinate per axis: cell centers sit at integer u.
     # A point is inside when clipping to [0, dims-1] leaves every u as it
-    # was; NaN never compares equal, so it is outside too.
+    # was. NaN is never equal, so outside; np.take clips its garbage index.
     inside = np.ones(pts.shape[:-1], dtype=bool)
     base = np.zeros(pts.shape[:-1], dtype=np.int64)
     f = []
@@ -183,7 +183,8 @@ def trilinear_sample(sdf: LinkSdf, points: np.ndarray) -> np.ndarray:
         u = (pts[..., a] + sdf.extent[a]) / sdf.resolution[a] - 0.5
         uc = np.clip(u, 0.0, float(sdf.dims[a] - 1))
         inside &= uc == u
-        i0 = np.minimum(uc.astype(np.int64), sdf.dims[a] - 2)
+        with np.errstate(invalid="ignore"):
+            i0 = np.minimum(uc.astype(np.int64), sdf.dims[a] - 2)
         f.append((uc - i0).astype(np.float32))
         base += i0 * stride
         stride *= int(sdf.dims[a])
@@ -193,7 +194,7 @@ def trilinear_sample(sdf: LinkSdf, points: np.ndarray) -> np.ndarray:
     nx, ny = int(sdf.dims[0]), int(sdf.dims[1])
     flat = sdf.values.ravel(order="F")  # view: x-fastest layout
     shifts = [dx + nx * (dy + ny * dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
-    v = [np.take(flat[s:], base) for s in shifts]
+    v = [np.take(flat[s:], base, mode="clip") for s in shifts]
 
     fx, fy, fz = f
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz

@@ -68,22 +68,41 @@ class RobotSdfBatch:
 
 @dataclass(frozen=True, eq=False)
 class ObstacleVoxelSet:
-    """Deduplicated occupied voxel indices derived from a point cloud.
+    """Occupied voxels of a point cloud, as flat voxel ids.
 
+    ``flat`` holds read-only int64 C-order flat indices on ``grid``, each
+    the voxel's row number in ``RobotSdfBatch.rows``; an id outside the
+    grid raises ``ValidationError`` here, so no query gathers one.
     ``n_dropped`` counts every point not voxelized, ``n_nonfinite`` the
-    share of them with a NaN or infinite coordinate; the rest lie outside
-    the grid.
+    share with a NaN or infinite coordinate; the rest lie outside the grid.
     """
 
-    indices: np.ndarray
+    flat: np.ndarray
     grid: EnvGrid
     n_points: int
     n_dropped: int
     n_nonfinite: int = 0
 
+    def __post_init__(self):
+        flat, n = np.asarray(self.flat), self.grid.n_voxels
+        if flat.ndim != 1 or (flat.size and flat.dtype.kind not in "iu"):
+            raise ValidationError(
+                f"obstacle voxel ids must be 1-D integers, got {flat.dtype}{flat.shape}"
+            )
+        if flat.size and (flat.min() < 0 or flat.max() >= n):
+            raise ValidationError(f"obstacle voxel ids fall outside the grid of {n} voxels")
+        flat = flat.astype(np.int64)  # own copy: the checked ids cannot change
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(N, 3) voxel coordinates of ``flat``, in the same order."""
+        return np.stack(np.unravel_index(self.flat, self.grid.dims), axis=-1)
+
     @property
     def n_occupied(self) -> int:
-        return len(self.indices)
+        return len(self.flat)
 
 
 def assemble_robot_sdfs(
@@ -134,11 +153,12 @@ def assemble_robot_sdfs(
 
 
 def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
-    """Snap an (N, 3) point cloud to occupied voxel indices.
+    """Snap an (N, 3) point cloud to its occupied voxels' flat ids.
 
-    Non-finite and out-of-grid points are dropped and counted. Indices are
+    Non-finite and out-of-grid points are dropped and counted. Ids are
     deduplicated through an occupancy bitmap over the flat voxel index and
-    come out sorted lexicographically, as ``np.unique(axis=0)`` sorts them.
+    come out strictly increasing, the bitmap's ``flatnonzero``; the same
+    voxels in the order ``np.unique(axis=0)`` sorts their (N, 3) indices.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -151,11 +171,9 @@ def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
     flat = np.ravel_multi_index(_voxel_index_columns(pts[inside], grid), grid.dims)
     occupied = np.zeros(grid.n_voxels, dtype=bool)
     occupied[flat] = True
-    idx = np.stack(np.unravel_index(np.flatnonzero(occupied), grid.dims), axis=-1)
-    idx.flags.writeable = False
     dropped = pts[~inside]
     return ObstacleVoxelSet(
-        indices=idx,
+        flat=np.flatnonzero(occupied),
         grid=grid,
         n_points=len(pts),
         n_dropped=len(dropped),
@@ -170,29 +188,18 @@ def query_min_distances(
 ):
     """Minimum robot-obstacle distance per configuration.
 
-    A gather of the occupied voxels' rows of the voxel-major batch, in
-    chunks of ``_GATHER_CHUNK`` rows, followed by a running min; nothing
-    else. An empty obstacle set yields the far sentinel everywhere, and an
-    index outside the grid raises ``ValidationError``.
+    Gathers ``batch.rows[obstacles.flat]``, ``_GATHER_CHUNK`` rows at a
+    time, into a running min that starts at the far sentinel; nothing else.
+    Batch values never exceed the sentinel, so an empty set yields it.
     """
     if not batch.grid.same_geometry(obstacles.grid):
         raise GridMismatchError("obstacle set was voxelized on a different grid")
-    c = batch.n_configs
-    if obstacles.n_occupied == 0:
-        d = np.full(c, np.float32(batch.d_far_global), dtype=np.float32)
-        return (d, {"gathers": 0}) if return_stats else d
-    try:
-        flat = np.ravel_multi_index(tuple(obstacles.indices.T), batch.grid.dims)
-    except ValueError:
-        raise ValidationError(
-            f"obstacle voxel indices fall outside the grid dims {batch.grid.dims.tolist()}"
-        ) from None
-    rows = batch.rows
-    d = rows[flat[:_GATHER_CHUNK]].min(axis=0)
-    for s in range(_GATHER_CHUNK, len(flat), _GATHER_CHUNK):
+    rows, flat = batch.rows, obstacles.flat
+    d = np.full(batch.n_configs, batch.d_far_global, dtype=rows.dtype)
+    for s in range(0, len(flat), _GATHER_CHUNK):
         np.minimum(d, rows[flat[s : s + _GATHER_CHUNK]].min(axis=0), out=d)
     if return_stats:
-        return d, {"gathers": c * len(flat)}
+        return d, {"gathers": batch.n_configs * len(flat)}
     return d
 
 
@@ -339,16 +346,16 @@ def sphere_baseline_distances(
 def stream_min_distances(
     batch: RobotSdfBatch,
     frames: Iterable[tuple[float, np.ndarray]],
-) -> Iterator[tuple[float, np.ndarray]]:
+) -> Iterator[tuple[float, ObstacleVoxelSet, np.ndarray]]:
     """Per-cycle distance vectors for a stream of point-cloud frames.
 
-    For each (timestamp, points) frame: voxelize, query, emit
-    (timestamp, C distances). This is the controller-facing hook; velocity
-    profiling happens downstream.
+    For each (timestamp, points) frame: voxelize, query, emit (timestamp,
+    obstacle set, C distances). This is the controller-facing hook;
+    velocity profiling happens downstream.
     """
     for timestamp, points in frames:
         obstacles = voxelize_pointcloud(points, batch.grid)
-        yield timestamp, query_min_distances(batch, obstacles)
+        yield timestamp, obstacles, query_min_distances(batch, obstacles)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,10 @@ def scene(arm3):
 
     occupied = np.unique(rng.integers(0, 50, size=(620, 3)), axis=0)[:500]
     obstacles = ObstacleVoxelSet(
-        indices=occupied, grid=grid, n_points=len(occupied), n_dropped=0
+        flat=np.ravel_multi_index(tuple(occupied.T), grid.dims),
+        grid=grid,
+        n_points=len(occupied),
+        n_dropped=0,
     )
     return Scene(
         grid=grid,
@@ -285,7 +288,10 @@ class TestCriterion6:
             # Central region: distances stay far from the sentinel clamp.
             idx = np.unique(rng.integers(13, 37, size=(400, 3)), axis=0)[:300]
             obstacles = ObstacleVoxelSet(
-                indices=idx, grid=scene.grid, n_points=len(idx), n_dropped=0
+                flat=np.ravel_multi_index(tuple(idx.T), scene.grid.dims),
+                grid=scene.grid,
+                n_points=len(idx),
+                n_dropped=0,
             )
             base = sphere_baseline_distances(
                 spheres, scene.all_poses, obstacles, scene.grid
@@ -357,9 +363,8 @@ class TestCriterion7:
 
         def draw_obstacles():
             idx = np.unique(rng.integers(0, 50, size=(3400, 3)), axis=0)
-            return ObstacleVoxelSet(
-                indices=idx[:3000], grid=grid, n_points=3000, n_dropped=0
-            )
+            flat = np.ravel_multi_index(tuple(idx[:3000].T), grid.dims)
+            return ObstacleVoxelSet(flat=flat, grid=grid, n_points=3000, n_dropped=0)
 
         obstacles = draw_obstacles()
         d, stats = query_min_distances(batch, obstacles, return_stats=True)

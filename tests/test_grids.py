@@ -1,5 +1,7 @@
 """Voxel index math, trilinear sampling, and SDF cache files."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,18 @@ class TestTrilinearKernel:
     def test_empty(self, shape):
         got = trilinear_sample(KERNEL_SDF, np.zeros(shape))
         assert got.shape == shape[:-1] and got.dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_gives_sentinel(self, bad, axis):
+        pts = np.zeros((3, 3))
+        pts[1, axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trilinear_sample(KERNEL_SDF, pts)
+            single = trilinear_sample(KERNEL_SDF, pts[1])
+        assert got[1] == np.float32(KERNEL_SDF.d_far) and single == got[1]
+        assert np.array_equal(got[[0, 2]], row_form_sample(KERNEL_SDF, pts[[0, 2]]))
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValidationError, match="shape"):

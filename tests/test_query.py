@@ -178,6 +178,9 @@ def test_voxelize_matches_unique_rows(rows):
             (pts >= -VOX_GRID.extent) & (pts < VOX_GRID.extent), axis=1
         )
     expected = np.unique(voxel_index_of(pts[inside], VOX_GRID), axis=0).reshape(-1, 3)
+    assert out.flat.dtype == np.int64 and out.flat.ndim == 1
+    assert np.all(np.diff(out.flat) > 0)
+    assert np.array_equal(out.flat, np.ravel_multi_index(tuple(expected.T), VOX_GRID.dims))
     assert out.indices.dtype == expected.dtype
     assert np.array_equal(out.indices, expected)
     assert out.n_points == len(pts)
@@ -194,8 +197,9 @@ def random_batch(grid, rng, n_configs=6, d_far=0.5):
 
 
 def obstacle_set(grid, indices):
-    idx = np.unique(np.asarray(indices, dtype=np.int64).reshape(-1, 3), axis=0)
-    return ObstacleVoxelSet(indices=idx, grid=grid, n_points=len(idx), n_dropped=0)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+    flat = np.unique(np.ravel_multi_index(tuple(idx.T), grid.dims))
+    return ObstacleVoxelSet(flat=flat, grid=grid, n_points=len(flat), n_dropped=0)
 
 
 class TestQuery:
@@ -244,34 +248,57 @@ class TestQuery:
     @pytest.mark.parametrize("n_occupied", [0, 1, 255, 256, 257, 513])
     def test_gather_chunk_boundaries(self, grid, rng, n_occupied):
         flat = np.sort(rng.choice(grid.n_voxels, size=n_occupied, replace=False))
-        idx = np.stack(np.unravel_index(flat, grid.dims), axis=-1).reshape(-1, 3)
+        ix, iy, iz = np.unravel_index(flat, grid.dims)
         values = rng.uniform(-0.3, 0.5, size=(7,) + tuple(grid.dims)).astype(np.float32)
         # Put configuration k's minimum on the k-th voxel either side of a
         # chunk edge, so a gather that skips a row there changes the result.
         edges = [0, 255, 256, 511, 512, n_occupied - 1]
         for k, at in enumerate(p for p in edges if 0 <= p < n_occupied):
-            values[(k,) + tuple(idx[at])] = -1.0
+            values[k, ix[at], iy[at], iz[at]] = -1.0
         batch = RobotSdfBatch(values=values, grid=grid, d_far_global=0.5)
-        obstacles = obstacle_set(grid, idx)
+        obstacles = ObstacleVoxelSet(
+            flat=flat, grid=grid, n_points=n_occupied, n_dropped=0
+        )
         d, stats = query_min_distances(batch, obstacles, return_stats=True)
         if n_occupied:
-            brute = batch.values[:, idx[:, 0], idx[:, 1], idx[:, 2]].min(axis=1)
+            brute = batch.values[:, ix, iy, iz].min(axis=1)
         else:
             brute = np.full(7, np.float32(0.5))
         assert d.dtype == np.float32
         assert np.array_equal(d, brute)
         assert stats["gathers"] == 7 * n_occupied
 
+    # Flat ids -1, -V, V, V + 1 and the largest int64, as (times V, plus).
     @pytest.mark.parametrize(
-        "index", [[-1, 0, 0], [0, -1, 0], [0, 0, 20], [20, 0, 0], [0, 25, 3]]
+        "index", [(0, -1), (-1, 0), (1, 0), (1, 1), (0, np.iinfo(np.int64).max)]
     )
-    def test_out_of_grid_index_rejected(self, grid, rng, index):
-        batch = random_batch(grid, rng)
-        obstacles = ObstacleVoxelSet(
-            indices=np.int64([[1, 2, 3], index]), grid=grid, n_points=2, n_dropped=0
-        )
+    def test_out_of_grid_index_rejected(self, grid, index):
+        # Rejected where the set is built, so no query can gather it.
+        bad = index[0] * grid.n_voxels + index[1]
         with pytest.raises(ValidationError, match="outside the grid"):
-            query_min_distances(batch, obstacles)
+            ObstacleVoxelSet(flat=np.int64([123, bad]), grid=grid, n_points=2, n_dropped=0)
+
+    @pytest.mark.parametrize(
+        "ids", [np.int64([[1, 2, 3]]), np.float64([1.0, 2.0]), np.bool_([True, False])]
+    )
+    def test_ids_must_be_1d_integers(self, grid, ids):
+        with pytest.raises(ValidationError, match="1-D integers"):
+            ObstacleVoxelSet(flat=ids, grid=grid, n_points=1, n_dropped=0)
+
+    def test_flat_is_read_only_and_indices_round_trip(self, grid):
+        ids = np.int64([0, 7, 399, grid.n_voxels - 1])
+        obstacles = ObstacleVoxelSet(flat=ids, grid=grid, n_points=4, n_dropped=0)
+        with pytest.raises(ValueError):
+            obstacles.flat[0] = 1
+        ids[0] = -1  # the set holds its own copy of the checked ids
+        assert obstacles.flat[0] == 0
+        assert obstacles.indices.shape == (4, 3)
+        assert np.array_equal(obstacles.indices[-1], grid.dims - 1)
+        assert np.array_equal(
+            np.ravel_multi_index(tuple(obstacles.indices.T), grid.dims), obstacles.flat
+        )
+        empty = ObstacleVoxelSet(flat=[], grid=grid, n_points=0, n_dropped=0)
+        assert empty.indices.shape == (0, 3) and empty.flat.dtype == np.int64
 
 
 class TestBatchLayout:
@@ -428,13 +455,17 @@ class TestStreaming:
         frames = [(float(i), cloud) for i in range(4)]
         rows = list(stream_min_distances(batch, frames))
         assert len(rows) == 4
-        for _, d in rows[1:]:
-            assert np.array_equal(d, rows[0][1])
+        for _, obstacles, d in rows:
+            assert obstacles.n_points == 200
+            assert np.array_equal(obstacles.flat, rows[0][1].flat)
+            assert np.array_equal(d, rows[0][2])
+        assert [stamp for stamp, _, _ in rows] == [0.0, 1.0, 2.0, 3.0]
 
     def test_empty_frame_far_sentinel(self, grid, small_scene):
         *_, batch = small_scene
         rows = list(stream_min_distances(batch, [(0.0, np.empty((0, 3)))]))
-        assert np.all(rows[0][1] == np.float32(batch.d_far_global))
+        assert rows[0][1].n_occupied == 0
+        assert np.all(rows[0][2] == np.float32(batch.d_far_global))
 
     def test_monotone_approach(self, grid):
         link = build_link_sdf(Sphere(0.12), extent=0.3, resolution=0.01, link_id=0)
@@ -448,7 +479,7 @@ class TestStreaming:
         )
         xs = np.arange(0.85, 0.04, -0.1)
         frames = [(float(i), np.float64([[x, 0.05, 0.05]])) for i, x in enumerate(xs)]
-        dists = [float(d[0]) for _, d in stream_min_distances(batch, frames)]
+        dists = [float(d[0]) for _, _, d in stream_min_distances(batch, frames)]
         assert all(b <= a + 1e-7 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < dists[0]
 
