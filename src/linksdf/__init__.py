@@ -25,7 +25,6 @@ from .errors import (
     NoOverlapError,
     NonWatertightError,
     NotConvergedError,
-    OutOfBoundsError,
     ValidationError,
 )
 from .grids import (
@@ -34,7 +33,6 @@ from .grids import (
     SdfSampleField,
     read_link_sdf,
     trilinear_sample,
-    voxel_index_of,
     write_link_sdf,
 )
 from .meshes import (

@@ -21,7 +21,12 @@ from .approx import NeuralTransformProvider, TinyMlp
 from .errors import ValidationError
 from .grids import EnvGrid, LinkSdf
 from .meshes import TriangleMesh, build_link_sdf, exact_point_distance, primitive_sdf
-from .placement import ExactTransformProvider, WindowGeometry, place_links_batch
+from .placement import (
+    ExactTransformProvider,
+    WindowGeometry,
+    compute_alignment,
+    place_links_batch,
+)
 from .query import (
     ObstacleVoxelSet,
     RobotSdfBatch,
@@ -323,8 +328,6 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
 
     # Transform-step comparison: the part the neural accelerator replaces.
     # Reported for context; the speedup is hardware dependent.
-    from .placement import compute_alignment
-
     rotations = scenario.poses.rotations.reshape(-1, 3, 3)
     deltas = compute_alignment(
         scenario.poses.translations.reshape(-1, 3), scenario.grid, config.link_extent

@@ -9,10 +9,6 @@ class ValidationError(LinkSdfError):
     """Invalid configuration, file content, or scenario parameters."""
 
 
-class OutOfBoundsError(LinkSdfError):
-    """A point lies outside the environment grid."""
-
-
 class NoOverlapError(LinkSdfError):
     """A placement window has no intersection with the environment grid."""
 

@@ -1,4 +1,4 @@
-"""Voxel-grid geometry, index math, and the dense SDF containers.
+"""Voxel-grid geometry and the dense SDF containers.
 
 Conventions used throughout the library:
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfBoundsError, ValidationError
+from .errors import ValidationError
 
 # Magic bytes and version of the link-SDF cache file.
 LSDF_MAGIC = b"LSDF"
@@ -52,7 +52,7 @@ def _exact_dims(extent: np.ndarray, resolution: np.ndarray, what: str) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class EnvGrid:
-    """Environment voxelization: half-extent, resolution and index math."""
+    """Environment voxelization: half-extent, resolution, dims and voxel centers."""
 
     extent: np.ndarray
     resolution: np.ndarray
@@ -81,39 +81,6 @@ class EnvGrid:
         """Centers of voxels given integer indices, shape (..., 3)."""
         idx = np.asarray(indices, dtype=np.float64)
         return -self.extent + (idx + 0.5) * self.resolution
-
-
-def voxel_index_of(points: np.ndarray, grid: EnvGrid) -> np.ndarray:
-    """Snap points to their nearest voxel index per axis.
-
-    Boundary points exactly on a face round toward the lower index (floor
-    semantics). Raises ``OutOfBoundsError`` for points outside
-    ``[-extent, extent)`` on any axis.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts2 = pts.reshape(-1, 3)
-    bad = np.any((pts2 < -grid.extent) | (pts2 >= grid.extent), axis=-1)
-    if np.any(bad):
-        first = pts2[np.argmax(bad)]
-        raise OutOfBoundsError(
-            f"{int(bad.sum())} point(s) outside grid, e.g. {first.tolist()}"
-        )
-    idx = np.stack(_voxel_index_columns(pts2, grid), axis=-1)
-    return idx[0] if scalar else idx.reshape(pts.shape)
-
-
-def _voxel_index_columns(points: np.ndarray, grid: EnvGrid) -> list[np.ndarray]:
-    """Per-axis voxel index columns of (..., 3) points already in the grid.
-
-    In-bounds points can still land on dims due to rounding right at the
-    upper face; the clip keeps the floor semantics consistent.
-    """
-    columns = []
-    for a in range(3):
-        i = np.floor((points[..., a] + grid.extent[a]) / grid.resolution[a])
-        columns.append(np.clip(i.astype(np.int64), 0, grid.dims[a] - 1))
-    return columns
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .grids import EnvGrid, SdfSampleField, _read_exact, _voxel_index_columns
+from .grids import EnvGrid, SdfSampleField, _read_exact
 from .meshes import TriangleMesh, primitive_surface_points
 from .robot import LinkPoseBatch, RobotModel
 
@@ -120,6 +120,10 @@ def assemble_robot_sdfs(
     voxel-major batch, so the batch is allocated once and never transposed,
     and partitioning work by configuration needs no synchronization.
     """
+    if n_configs < 1:
+        raise ValidationError(
+            f"robot SDF batch needs at least one configuration, got {n_configs}"
+        )
     need = n_configs * grid.n_voxels * 4
     if need > max_bytes:
         raise ValidationError(
@@ -155,22 +159,32 @@ def assemble_robot_sdfs(
 def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
     """Snap an (N, 3) point cloud to its occupied voxels' flat ids.
 
-    Non-finite and out-of-grid points are dropped and counted. Ids are
-    deduplicated through an occupancy bitmap over the flat voxel index and
-    come out strictly increasing, the bitmap's ``flatnonzero``; the same
-    voxels in the order ``np.unique(axis=0)`` sorts their (N, 3) indices.
+    A point's voxel index on each axis is ``floor((p + extent) /
+    resolution)``: a point on the face between two voxels goes to the
+    upper one, and the grid spans ``[-extent, extent)``, lower face inside,
+    upper face outside. Non-finite and out-of-grid points are dropped and
+    counted. Ids are deduplicated through an occupancy bitmap over the flat
+    voxel index and come out strictly increasing, the bitmap's
+    ``flatnonzero``; the same voxels in the order ``np.unique(axis=0)``
+    sorts their (N, 3) indices.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValidationError(f"point cloud must have shape (N, 3), got {pts.shape}")
-    # Per-axis columns. NaN fails both comparisons and +-inf one, so inside
-    # points are finite.
+    # One pass per axis builds the in-grid mask and the C-order flat id
+    # together. NaN fails both comparisons and +-inf one, so inside points
+    # are finite; the rest are floored too, quietly, then masked off. The
+    # clip keeps a point that rounds onto the upper face in the last voxel.
     inside = np.ones(len(pts), dtype=bool)
-    for a in range(3):
-        inside &= (pts[:, a] >= -grid.extent[a]) & (pts[:, a] < grid.extent[a])
-    flat = np.ravel_multi_index(_voxel_index_columns(pts[inside], grid), grid.dims)
+    flat = np.zeros(len(pts), dtype=np.int64)
+    for p, e, r, n in zip(pts.T, grid.extent, grid.resolution, grid.dims):
+        inside &= (p >= -e) & (p < e)
+        with np.errstate(invalid="ignore", over="ignore"):
+            i = np.floor((p + e) / r).astype(np.int64)
+        flat *= n
+        flat += np.clip(i, 0, n - 1)
     occupied = np.zeros(grid.n_voxels, dtype=bool)
-    occupied[flat] = True
+    occupied[flat[inside]] = True
     dropped = pts[~inside]
     return ObstacleVoxelSet(
         flat=np.flatnonzero(occupied),

@@ -1,4 +1,4 @@
-"""Voxel index math, trilinear sampling, and SDF cache files."""
+"""Grid geometry, trilinear sampling, and SDF cache files."""
 
 import warnings
 
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from linksdf import (
     EnvGrid,
     LinkSdf,
-    OutOfBoundsError,
     Sphere,
     ValidationError,
     build_link_sdf,
     read_link_sdf,
     trilinear_sample,
-    voxel_index_of,
     write_link_sdf,
 )
 
@@ -41,36 +39,6 @@ class TestEnvGrid:
 
     def test_voxel_center_formula(self, grid):
         assert np.allclose(grid.voxel_centers(np.int64([0, 10, 19])), [-0.95, 0.05, 0.95])
-
-
-class TestVoxelIndexOf:
-    def test_exact_center(self, grid):
-        assert np.array_equal(
-            voxel_index_of(np.float64([0.05, 0.05, 0.05]), grid), [10, 10, 10]
-        )
-
-    def test_face_rounds_by_floor(self, grid):
-        # 0.0 sits on the face between voxels 9 and 10.
-        assert np.array_equal(voxel_index_of(np.float64([0.0, 0.0, 0.0]), grid), [10, 10, 10])
-
-    def test_out_of_bounds(self, grid):
-        with pytest.raises(OutOfBoundsError):
-            voxel_index_of(np.float64([1.2, 0.0, 0.0]), grid)
-        with pytest.raises(OutOfBoundsError):
-            voxel_index_of(np.float64([1.0, 0.0, 0.0]), grid)  # upper face excluded
-        voxel_index_of(np.float64([-1.0, 0.0, 0.0]), grid)  # lower face included
-
-    def test_center_round_trip_all_voxels(self, grid):
-        j = np.stack(
-            np.meshgrid(*[np.arange(d) for d in grid.dims], indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        back = voxel_index_of(grid.voxel_centers(j), grid)
-        assert np.array_equal(back, j)
-
-    def test_batch_shape(self, grid, rng):
-        pts = rng.uniform(-0.99, 0.99, size=(50, 7, 3))
-        idx = voxel_index_of(pts, grid)
-        assert idx.shape == (50, 7, 3)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Min-merge assembly, voxelization, queries, baseline, and streaming."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from linksdf import (
     validate_sphere_model,
     voxelize_pointcloud,
 )
-from linksdf.grids import voxel_index_of
 from linksdf.query import (
     iter_cloud_frames,
     read_cloud_manifest,
@@ -99,6 +100,11 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             assemble_robot_sdfs([], grid, 10_000_000, 0.5, max_bytes=1 << 20)
 
+    @pytest.mark.parametrize("n_configs", [-1, 0])
+    def test_needs_a_configuration(self, grid, n_configs):
+        with pytest.raises(ValidationError, match="at least one configuration"):
+            assemble_robot_sdfs([], grid, n_configs, 0.5)
+
     def test_bad_config_index(self, grid, rng):
         field = field_at(rng.uniform(size=(4, 4, 4)), [0, 0, 0])
         with pytest.raises(ValidationError):
@@ -147,6 +153,18 @@ class TestVoxelize:
         assert (out.n_points, out.n_dropped, out.n_nonfinite) == (6, 5, 3)
         assert out.n_occupied == 1
 
+    @pytest.mark.parametrize("axis", range(3))
+    def test_dropped_rows_raise_no_warning(self, grid, axis):
+        # Every row is floored before the in-grid mask drops it; NaN, +-inf
+        # and a quotient past the float range must not warn on the way.
+        pts = np.zeros((8, 3))
+        pts[1:, axis] = [np.nan, np.inf, -np.inf, 2.0, 1.0, -1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = voxelize_pointcloud(pts, grid)
+        assert (out.n_points, out.n_dropped, out.n_nonfinite) == (8, 7, 3)
+        assert out.n_occupied == 1
+
     @pytest.mark.parametrize("shape", [(6, 2), (4, 2), (3, 4), (9,), (2, 3, 3)])
     def test_cloud_must_be_n_by_3(self, grid, shape):
         with pytest.raises(ValidationError, match="shape"):
@@ -167,17 +185,61 @@ _coordinate = st.one_of(
 )
 
 
+def snap_rows(pts, grid):
+    """Row-form reference snap: keep rows in [-extent, extent), floor each axis."""
+    with np.errstate(invalid="ignore"):
+        inside = np.all((pts >= -grid.extent) & (pts < grid.extent), axis=1)
+    idx = np.floor((pts[inside] + grid.extent) / grid.resolution).astype(np.int64)
+    return np.clip(idx, 0, grid.dims - 1), inside
+
+
+def voxel_ids(pts):
+    return voxelize_pointcloud(np.float64(pts).reshape(-1, 3), VOX_GRID).flat.tolist()
+
+
+def flat_id(index):
+    return int(np.ravel_multi_index(tuple(index), VOX_GRID.dims))
+
+
+class TestSnapRule:
+    def test_voxel_center(self):
+        j = [3, 4, 5]
+        assert voxel_ids(VOX_GRID.voxel_centers(np.int64(j))) == [flat_id(j)]
+
+    def test_face_goes_to_upper_voxel(self):
+        # 0.0 is the face between voxels 4 and 5 on x, 3 and 4 on z. On y,
+        # (0.0 + 0.3) / 0.1 rounds below 3 in binary, so y is kept centred.
+        y = VOX_GRID.voxel_centers(np.int64([0, 3, 0]))[1]
+        assert voxel_ids([0.0, y, 0.0]) == [flat_id([5, 3, 4])]
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_lower_face_kept_upper_face_dropped(self, axis):
+        j = VOX_GRID.dims // 2
+        lower, upper = VOX_GRID.voxel_centers(j), VOX_GRID.voxel_centers(j)
+        lower[axis], upper[axis] = -VOX_GRID.extent[axis], VOX_GRID.extent[axis]
+        j[axis] = 0
+        assert voxel_ids(lower) == [flat_id(j)]
+        out = voxelize_pointcloud(upper[None], VOX_GRID)
+        assert (out.n_occupied, out.n_dropped, out.n_nonfinite) == (0, 1, 0)
+
+    def test_center_round_trip_all_voxels(self):
+        j = np.stack(
+            np.meshgrid(*[np.arange(d) for d in VOX_GRID.dims], indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        out = voxelize_pointcloud(VOX_GRID.voxel_centers(j), VOX_GRID)
+        assert np.array_equal(out.flat, np.arange(VOX_GRID.n_voxels))
+        assert np.array_equal(out.indices, j)
+        assert out.n_dropped == 0
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(rows=st.lists(st.tuples(_coordinate, _coordinate, _coordinate), max_size=40))
 def test_voxelize_matches_unique_rows(rows):
     pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
     out = voxelize_pointcloud(pts, VOX_GRID)
     finite = np.isfinite(pts).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        inside = finite & np.all(
-            (pts >= -VOX_GRID.extent) & (pts < VOX_GRID.extent), axis=1
-        )
-    expected = np.unique(voxel_index_of(pts[inside], VOX_GRID), axis=0).reshape(-1, 3)
+    snapped, inside = snap_rows(pts, VOX_GRID)
+    expected = np.unique(snapped, axis=0).reshape(-1, 3)
     assert out.flat.dtype == np.int64 and out.flat.ndim == 1
     assert np.all(np.diff(out.flat) > 0)
     assert np.array_equal(out.flat, np.ravel_multi_index(tuple(expected.T), VOX_GRID.dims))
