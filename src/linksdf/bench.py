@@ -368,6 +368,7 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
     )
     report.add("query_sdf_ms", mean_s * 1e3, std_s * 1e3, "ms")
     report.add("query_sdf_gathers", stats["gathers"], 0.0, "count")
+    report.add("live_voxel_fraction", batch.live_fraction, 0.0, "ratio")
 
     sphere_ok = scenario.spheres is not None
     if sphere_ok:

@@ -3,8 +3,10 @@
 The per-configuration robot SDF is the min-merge of every link's sample
 window scattered at its anchor over a dense environment grid. Distance
 queries against voxelized obstacles are then pure memory gathers followed
-by a min reduction: no per-query arithmetic on poses or points, so query
-cost depends only on the batch size and the number of occupied voxels.
+by a min reduction: no per-query arithmetic on poses or points. Query cost
+depends on the batch size, the number of occupied voxels and how many of
+them hold anything but the sentinel: every all-sentinel voxel reads one
+shared row that stays in cache.
 
 A sphere-approximation baseline with the opposite cost profile (cheap
 preparation, per-query distance arithmetic) is included for comparison.
@@ -28,6 +30,7 @@ from .robot import LinkPoseBatch, RobotModel
 DEFAULT_BATCH_BYTES = 1 << 30  # refuse to allocate robot SDF batches past 1 GiB
 _SPHERE_CHUNK = 64  # configurations per sphere-baseline block
 _GATHER_CHUNK = 256  # occupied voxels' rows gathered per min step
+_TABLE_CHUNK = 4096  # voxel rows compared with the sentinel per table step
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,15 +41,29 @@ class RobotSdfBatch:
     array holding the C configurations' values of one voxel per row, rows
     in C order of (ix, iy, iz). A query then gathers one contiguous row per
     occupied voxel. ``values`` is the logical (C, nx, ny, nz) array as a
-    read-only view of the same memory, never a copy; a batch built from any
-    other layout is converted once. Voxels never exceed ``d_far_global``
-    and go negative inside the robot.
+    read-only view of the same memory, never a copy. Voxels never exceed
+    ``d_far_global`` and go negative inside the robot.
+
+    ``table`` is a read-only int32 array of V row numbers, built once here:
+    a voxel whose row holds only the sentinel ``float32(d_far_global)``
+    maps to ``shared_row``, the first such row; every other voxel, a row
+    with NaN or a value above the sentinel included, maps to its own row.
+    Without an all-sentinel row the table is the identity and
+    ``shared_row`` is -1. Queries gather through it, so the dead voxels of
+    a frame all read one cache-resident row.
+
+    The table must not go stale, so the batch keeps its input's memory
+    only when that is voxel-major and read-only along its whole ``.base``
+    chain; any other input is copied once. No caller can then write a row
+    after the table was built.
     """
 
     values: np.ndarray
     grid: EnvGrid
     d_far_global: float
     rows: np.ndarray = dataclasses.field(init=False, repr=False)
+    table: np.ndarray = dataclasses.field(init=False, repr=False)
+    shared_row: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         shape = np.shape(self.values)
@@ -54,16 +71,43 @@ class RobotSdfBatch:
             raise ValidationError(
                 f"robot SDF batch shape {shape} is not (C, *{self.grid.dims.tolist()})"
             )
-        voxel_major = np.ascontiguousarray(np.moveaxis(self.values, 0, -1))
+        voxel_major = np.moveaxis(np.asarray(self.values), 0, -1)
+        if _writeable_anywhere(voxel_major) or not voxel_major.flags.c_contiguous:
+            voxel_major = voxel_major.copy()
         voxel_major.flags.writeable = False
+        rows = voxel_major.reshape(self.grid.n_voxels, shape[0])
         object.__setattr__(self, "values", np.moveaxis(voxel_major, -1, 0))
-        object.__setattr__(
-            self, "rows", voxel_major.reshape(self.grid.n_voxels, shape[0])
-        )
+        object.__setattr__(self, "rows", rows)
+        dead = np.empty(len(rows), dtype=bool)
+        sentinel = np.float32(self.d_far_global)
+        for v0 in range(0, len(rows), _TABLE_CHUNK):
+            v1 = v0 + _TABLE_CHUNK
+            np.all(rows[v0:v1] == sentinel, axis=1, out=dead[v0:v1])
+        table = np.arange(len(rows), dtype=np.int32)
+        shared = int(np.argmax(dead)) if dead.any() else -1
+        table[dead] = shared
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "shared_row", shared)
 
     @property
     def n_configs(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def live_fraction(self) -> float:
+        """Share of voxels with a row of their own, some value not the
+        sentinel; read from ``table``, with no pass over the rows."""
+        return float(np.count_nonzero(self.table != self.shared_row) / len(self.table))
+
+
+def _writeable_anywhere(a: np.ndarray) -> bool:
+    """True unless ``a`` and every array on its ``.base`` chain is read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        a = a.base
+    return a is not None and not isinstance(a, bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +195,7 @@ def assemble_robot_sdfs(
         ]
         dst = out[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2], c]
         np.minimum(dst, src, out=dst)
+    out.flags.writeable = False  # handed over to the batch without a copy
     return RobotSdfBatch(
         values=np.moveaxis(out, -1, 0), grid=grid, d_far_global=float(d_far_global)
     )
@@ -159,10 +204,14 @@ def assemble_robot_sdfs(
 def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
     """Snap an (N, 3) point cloud to its occupied voxels' flat ids.
 
-    A point's voxel index on each axis is ``floor((p + extent) /
-    resolution)``: a point on the face between two voxels goes to the
-    upper one, and the grid spans ``[-extent, extent)``, lower face inside,
-    upper face outside. Non-finite and out-of-grid points are dropped and
+    A point's voxel index on each axis is the floor of the computed
+    float64 quotient ``(p + extent) / resolution``, clipped to the grid.
+    Where that quotient is exact in binary, a point on the face between
+    two voxels goes to the upper one; elsewhere rounding can put it in
+    either neighbour, which still lies within half a cell diagonal, so the
+    ``sqrt(3)/2 * r_e`` term of the error budget holds. The grid spans
+    ``[-extent, extent)``: a point is kept when ``-extent <= p < extent``
+    on every axis. Non-finite and out-of-grid points are dropped and
     counted. Ids are deduplicated through an occupancy bitmap over the flat
     voxel index and come out strictly increasing, the bitmap's
     ``flatnonzero``; the same voxels in the order ``np.unique(axis=0)``
@@ -202,16 +251,22 @@ def query_min_distances(
 ):
     """Minimum robot-obstacle distance per configuration.
 
-    Gathers ``batch.rows[obstacles.flat]``, ``_GATHER_CHUNK`` rows at a
-    time, into a running min that starts at the far sentinel; nothing else.
-    Batch values never exceed the sentinel, so an empty set yields it.
+    Gathers ``batch.rows[batch.table[obstacles.flat]]``, ``_GATHER_CHUNK``
+    rows at a time, into a running min that starts at the far sentinel;
+    nothing else. It reads C values per occupied voxel, so ``gathers`` is
+    C·|occ|. The time depends on C, |occ| and the share of occupied voxels
+    that are live: the all-sentinel ones all read the batch's shared row,
+    which stays in cache. With every occupied voxel live, the cost is one
+    dense row read per voxel plus one table lookup. The shared row equals
+    the running min's start value, so the result is the min over the
+    voxels' own rows, bit for bit, and an empty set yields the sentinel.
     """
     if not batch.grid.same_geometry(obstacles.grid):
         raise GridMismatchError("obstacle set was voxelized on a different grid")
-    rows, flat = batch.rows, obstacles.flat
+    rows, table, flat = batch.rows, batch.table, obstacles.flat
     d = np.full(batch.n_configs, batch.d_far_global, dtype=rows.dtype)
     for s in range(0, len(flat), _GATHER_CHUNK):
-        np.minimum(d, rows[flat[s : s + _GATHER_CHUNK]].min(axis=0), out=d)
+        np.minimum(d, rows[table[flat[s : s + _GATHER_CHUNK]]].min(axis=0), out=d)
     if return_stats:
         return d, {"gathers": batch.n_configs * len(flat)}
     return d

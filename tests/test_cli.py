@@ -121,6 +121,7 @@ class TestBench:
             "waypoints",
             "query_sdf_ms",
             "query_sdf_gathers",
+            "live_voxel_fraction",
             "query_sphere_ms",
             "query_sphere_evals",
             "baseline_conservative_fraction",
@@ -136,6 +137,7 @@ class TestBench:
         waypoints = int(float(rows["waypoints"]))
         occupied = int(float(rows["occupied_voxels"]))
         assert int(float(rows["query_sdf_gathers"])) == waypoints * occupied
+        assert 0.0 < float(rows["live_voxel_fraction"]) < 1.0
         # Refuses to clobber the report without --force.
         assert main(argv) == 2
         assert main(argv + ["--force"]) == 0

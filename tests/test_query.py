@@ -412,6 +412,109 @@ class TestBatchLayout:
         assert np.any(ordered.values < np.float32(d_far))
 
 
+TABLE_GRID = EnvGrid(extent=0.4, resolution=0.1)  # 8^3 voxels
+SENTINEL = np.float32(0.5)
+
+
+def sentinel_batch(kind, n_configs=5, seed=0):
+    """A batch on TABLE_GRID with no, only, or some all-sentinel voxels.
+
+    The mixed batch also holds a row with one NaN and a row with one value
+    above the sentinel; neither is all-sentinel.
+    """
+    rng = np.random.default_rng(seed)
+    n = TABLE_GRID.n_voxels
+    rows = np.full((n, n_configs), SENTINEL, dtype=np.float32)
+    live = {"none": np.ones(n, bool), "only": np.zeros(n, bool)}.get(kind)
+    if live is None:
+        live = rng.random(n) < 0.3
+        live[:3] = True  # so the first all-sentinel row is not voxel 0
+    rows[live] = rng.uniform(-0.3, 0.5, size=(live.sum(), n_configs))
+    if kind == "mixed":
+        rows[5] = SENTINEL
+        rows[5, 2] = np.nan
+        rows[6] = SENTINEL
+        rows[6, 1] = np.float32(0.75)
+    values = np.moveaxis(rows.reshape(tuple(TABLE_GRID.dims) + (n_configs,)), -1, 0)
+    return RobotSdfBatch(values=values, grid=TABLE_GRID, d_far_global=0.5)
+
+
+class TestSharedSentinelRow:
+    @pytest.mark.parametrize("kind", ["none", "only", "mixed"])
+    def test_query_matches_brute_force_bit_for_bit(self, kind):
+        batch = sentinel_batch(kind)
+        rng = np.random.default_rng(1)
+        n = TABLE_GRID.n_voxels
+        sets = [np.int64([]), np.arange(n), np.int64([5, 6]), np.int64([0, 6])]
+        sets += [np.sort(rng.choice(n, size=k, replace=False)) for k in (1, 40, 300)]
+        for flat in sets:
+            obstacles = ObstacleVoxelSet(flat=flat, grid=TABLE_GRID, n_points=len(flat), n_dropped=0)
+            d, stats = query_min_distances(batch, obstacles, return_stats=True)
+            brute = np.full(batch.n_configs, SENTINEL)
+            if len(flat):
+                np.minimum(brute, batch.rows[flat].min(axis=0), out=brute)
+            assert d.tobytes() == brute.tobytes()
+            assert stats["gathers"] == batch.n_configs * len(flat)
+        if kind == "mixed":
+            assert np.isnan(d[2])  # the NaN row was read as its own row
+
+    @pytest.mark.parametrize("kind", ["none", "only", "mixed"])
+    def test_table_maps_exactly_the_sentinel_rows_to_the_shared_row(self, kind):
+        batch = sentinel_batch(kind)
+        dead = np.all(batch.rows == SENTINEL, axis=1)
+        assert batch.table.dtype == np.int32
+        assert batch.table.shape == (TABLE_GRID.n_voxels,)
+        assert batch.shared_row == (np.flatnonzero(dead)[0] if dead.any() else -1)
+        for v in range(TABLE_GRID.n_voxels):
+            assert (batch.table[v] == batch.shared_row) == dead[v]
+            if not dead[v]:
+                assert batch.table[v] == v
+        if kind == "mixed":
+            assert batch.shared_row > 0 and not dead[5] and not dead[6]
+        assert batch.rows[batch.table].tobytes() == batch.rows.tobytes()
+
+    def test_table_is_read_only(self):
+        batch = sentinel_batch("mixed")
+        assert not batch.table.flags.writeable
+        with pytest.raises(ValueError):
+            batch.table[0] = 1
+
+    @pytest.mark.parametrize("kind", ["none", "only", "mixed", "one"])
+    def test_live_fraction_counts_rows_of_their_own(self, kind):
+        if kind == "one":  # a single all-sentinel voxel: the table is the identity
+            rows = np.zeros((TABLE_GRID.n_voxels, 2), dtype=np.float32)
+            rows[17] = SENTINEL
+            values = np.moveaxis(rows.reshape(tuple(TABLE_GRID.dims) + (2,)), -1, 0)
+            batch = RobotSdfBatch(values=values, grid=TABLE_GRID, d_far_global=0.5)
+            assert batch.shared_row == 17
+        else:
+            batch = sentinel_batch(kind)
+        brute = sum(bool(np.any(row != SENTINEL)) for row in batch.rows)
+        assert batch.live_fraction == brute / TABLE_GRID.n_voxels
+
+    @pytest.mark.parametrize("frozen_view", [False, True])
+    def test_writes_through_the_callers_array_do_not_reach_the_batch(self, frozen_view):
+        owner = np.full(tuple(TABLE_GRID.dims) + (3,), SENTINEL, dtype=np.float32)
+        owner[2:5, 1:4, 3:6] = np.float32(0.1)
+        handed = owner.view()
+        # A read-only view of writeable memory is still the caller's to write.
+        handed.flags.writeable = not frozen_view
+        batch = RobotSdfBatch(
+            values=np.moveaxis(handed, -1, 0), grid=TABLE_GRID, d_far_global=0.5
+        )
+        assert not np.shares_memory(batch.rows, owner)
+        obstacles = ObstacleVoxelSet(
+            flat=np.arange(TABLE_GRID.n_voxels), grid=TABLE_GRID,
+            n_points=TABLE_GRID.n_voxels, n_dropped=0,
+        )
+        rows_before = batch.rows.copy()
+        d_before = query_min_distances(batch, obstacles)
+        owner[...] = np.float32(-1.0)
+        assert np.array_equal(batch.rows, rows_before)
+        assert np.array_equal(query_min_distances(batch, obstacles), d_before)
+        assert np.all(d_before == np.float32(0.1))
+
+
 @pytest.fixture(scope="module")
 def small_scene(grid):
     """One-link robot pipeline pieces shared by query-level tests."""
