@@ -61,6 +61,7 @@ from .placement import (
 )
 from .query import (
     ObstacleVoxelSet,
+    RobotChecker,
     RobotSdfBatch,
     SphereRobotModel,
     assemble_robot_sdfs,

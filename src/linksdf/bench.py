@@ -19,16 +19,12 @@ import numpy as np
 
 from .approx import NeuralTransformProvider, TinyMlp
 from .errors import ValidationError
-from .grids import EnvGrid, LinkSdf
+from .grids import EnvGrid
 from .meshes import TriangleMesh, build_link_sdf, exact_point_distance, primitive_sdf
-from .placement import (
-    ExactTransformProvider,
-    WindowGeometry,
-    compute_alignment,
-    place_links_batch,
-)
+from .placement import ExactTransformProvider, compute_alignment
 from .query import (
     ObstacleVoxelSet,
+    RobotChecker,
     RobotSdfBatch,
     SphereRobotModel,
     assemble_robot_sdfs,
@@ -92,15 +88,9 @@ class ScenarioConfig:
 @dataclass
 class Scenario:
     config: ScenarioConfig
-    robot: RobotModel
-    grid: EnvGrid
+    checker: RobotChecker
     waypoints: ConfigBatch
-    poses: LinkPoseBatch  # geometry links only, placement order
-    all_poses: LinkPoseBatch  # every robot link (sphere model indexes these)
-    sdfs: list[LinkSdf]
-    geometry_links: list[int]
-    window: WindowGeometry
-    provider: object
+    poses: LinkPoseBatch  # every robot link
     spheres: SphereRobotModel | None
 
 
@@ -124,7 +114,7 @@ def check_extent(scenario_config: ScenarioConfig, robot: RobotModel) -> float:
 
 
 def load_scenario(config: ScenarioConfig) -> Scenario:
-    """Materialize a scenario: robot, grids, link SDFs, FK, provider."""
+    """Materialize a scenario: robot, checker, waypoints and their FK."""
     robot = RobotModel.from_json(config.robot_path)
     check_extent(config, robot)
     grid = EnvGrid(extent=config.grid_extent, resolution=config.grid_res)
@@ -133,89 +123,51 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
         waypoints = ConfigBatch.from_csv(config.trajectory_path)
     else:
         raise ValidationError("scenario needs a trajectory CSV")
-    poses_all = forward_kinematics_batch(robot, waypoints)
-
-    geometry_links = [i for i, l in enumerate(robot.links) if l.geometry is not None]
-    if not geometry_links:
-        raise ValidationError(f"robot {robot.name} has no collision geometry")
-    sdfs = [
-        build_link_sdf(
-            robot.links[i].geometry, config.link_extent, config.link_res, link_id=i
-        )
-        for i in geometry_links
-    ]
-    poses = LinkPoseBatch(
-        rotations=poses_all.rotations[:, geometry_links],
-        translations=poses_all.translations[:, geometry_links],
-    )
-
-    window = WindowGeometry.build(config.link_extent, grid)
-    if config.provider == "neural":
-        model = TinyMlp.load(config.model_path)
-        provider = NeuralTransformProvider(model, window)
-    else:
-        provider = ExactTransformProvider(window)
+    poses = forward_kinematics_batch(robot, waypoints)
+    model = TinyMlp.load(config.model_path) if config.provider == "neural" else None
+    checker = RobotChecker.build(robot, grid, config.link_extent, config.link_res, model)
 
     spheres = None
     if robot.sphere_model:
         spheres = SphereRobotModel.from_robot(robot)
         validate_sphere_model(robot, spheres, np.random.default_rng(config.seed))
     return Scenario(
-        config=config,
-        robot=robot,
-        grid=grid,
-        waypoints=waypoints,
-        poses=poses,
-        all_poses=poses_all,
-        sdfs=sdfs,
-        geometry_links=geometry_links,
-        window=window,
-        provider=provider,
-        spheres=spheres,
+        config=config, checker=checker, waypoints=waypoints, poses=poses, spheres=spheres
     )
-
-
-def prepare_robot_sdfs(scenario: Scenario) -> RobotSdfBatch:
-    """Placement plus assembly for every waypoint (the per-trajectory cost)."""
-    return _timed_prepare(scenario)[0]
 
 
 def _timed_prepare(scenario: Scenario) -> tuple[RobotSdfBatch, float, float]:
     """One prepare pass: (batch, placement seconds, total seconds).
 
-    Placement runs lazily inside assembly, so its time is what the
-    placement generator takes to hand over each field.
+    Placement runs lazily inside assembly, so its time is what
+    ``checker.fields`` takes to hand over each field.
     """
+    checker = scenario.checker
     placement_s = 0.0
 
     def fields():
         nonlocal placement_s
-        it = place_links_batch(
-            scenario.sdfs, scenario.poses, scenario.grid, scenario.provider
-        )
+        it = checker.fields(scenario.poses)
         while True:
             t0 = time.perf_counter()
             item = next(it, None)
             placement_s += time.perf_counter() - t0
             if item is None:
                 return
-            yield item[0], item[2]
+            yield item
 
     t0 = time.perf_counter()
     batch = assemble_robot_sdfs(
-        fields(),
-        scenario.grid,
-        scenario.waypoints.size,
-        min(s.d_far for s in scenario.sdfs),
+        fields(), checker.grid, scenario.waypoints.size, checker.d_far_global
     )
     return batch, placement_s, time.perf_counter() - t0
 
 
 def random_obstacles(scenario: Scenario, rng: np.random.Generator) -> ObstacleVoxelSet:
-    dims = scenario.grid.dims
-    draws = rng.integers(0, dims, size=(scenario.config.n_obstacles, 3))
-    flat = np.unique(np.ravel_multi_index(tuple(draws.T), dims))
-    return ObstacleVoxelSet(flat=flat, grid=scenario.grid, n_points=len(flat), n_dropped=0)
+    grid = scenario.checker.grid
+    draws = rng.integers(0, grid.dims, size=(scenario.config.n_obstacles, 3))
+    flat = np.unique(np.ravel_multi_index(tuple(draws.T), grid.dims))
+    return ObstacleVoxelSet(flat=flat, grid=grid, n_points=len(flat), n_dropped=0)
 
 
 def _time(fn, reps: int, warmup: int = 2) -> tuple[float, float, object]:
@@ -233,12 +185,18 @@ def _time(fn, reps: int, warmup: int = 2) -> tuple[float, float, object]:
 def _oracle_distances(
     scenario: Scenario, obstacles: ObstacleVoxelSet, d_far_global: float
 ) -> np.ndarray:
-    """Brute-force exact link-geometry distances, clamped at the sentinel."""
-    targets = scenario.grid.voxel_centers(obstacles.indices)
+    """Brute-force exact link-geometry distances, clamped at the sentinel
+    the batch stores, ``float32(d_far_global)``; an empty set gives the
+    sentinel, as the query does."""
+    sentinel = np.float32(d_far_global)
     c = scenario.poses.n_configs
+    if obstacles.n_occupied == 0:
+        return np.full(c, sentinel, dtype=np.float64)
+    robot = scenario.checker.robot
+    targets = scenario.checker.grid.voxel_centers(obstacles.indices)
     best = np.full(c, np.inf)
-    for li, link_row in enumerate(scenario.geometry_links):
-        geometry = scenario.robot.links[link_row].geometry
+    for li in robot.geometry_links:
+        geometry = robot.links[li].geometry
         rot = scenario.poses.rotations[:, li]
         trn = scenario.poses.translations[:, li]
         local = np.einsum(
@@ -251,7 +209,7 @@ def _oracle_distances(
         else:
             d = primitive_sdf(geometry, local.reshape(-1, 3))
         best = np.minimum(best, d.reshape(c, -1).min(axis=1))
-    return np.minimum(best, d_far_global)
+    return np.minimum(best, sentinel)
 
 
 @dataclass
@@ -289,17 +247,23 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
     """Measure preparation and query cost for both checkers on one scenario."""
     report = BenchReport()
     config = scenario.config
+    checker = scenario.checker
+    grid, robot = checker.grid, checker.robot
     c = scenario.waypoints.size
+    if config.clouds_path is not None:
+        frame = next(iter_cloud_frames(config.clouds_path), None)
+        if frame is None:
+            raise ValidationError(f"{config.clouds_path}: the manifest lists no frames")
+        obstacles = voxelize_pointcloud(frame[1], grid)
+    else:
+        obstacles = random_obstacles(scenario, rng)
 
     mean_s, std_s, _ = _time(
         lambda: [
             build_link_sdf(
-                scenario.robot.links[i].geometry,
-                config.link_extent,
-                config.link_res,
-                link_id=i,
+                robot.links[i].geometry, config.link_extent, config.link_res, link_id=i
             )
-            for i in scenario.geometry_links
+            for i in robot.geometry_links
         ],
         reps=5,
         warmup=0,
@@ -321,16 +285,17 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
     sphere_prep_mean = sphere_prep_std = 0.0
     if scenario.spheres is not None:
         sphere_prep_mean, sphere_prep_std, _ = _time(
-            lambda: forward_kinematics_batch(scenario.robot, scenario.waypoints),
+            lambda: forward_kinematics_batch(robot, scenario.waypoints),
             reps=10,
         )
     report.add("prepare_sphere_per_trajectory_s", sphere_prep_mean, sphere_prep_std, "s")
 
     # Transform-step comparison: the part the neural accelerator replaces.
     # Reported for context; the speedup is hardware dependent.
-    rotations = scenario.poses.rotations.reshape(-1, 3, 3)
+    links = robot.geometry_links
+    rotations = scenario.poses.rotations[:, links].reshape(-1, 3, 3)
     deltas = compute_alignment(
-        scenario.poses.translations.reshape(-1, 3), scenario.grid, config.link_extent
+        scenario.poses.translations[:, links].reshape(-1, 3), grid, config.link_extent
     ).delta_t
 
     def time_transform(provider):
@@ -341,11 +306,10 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
         mean_s, std_s, _ = _time(run, reps=max(5, min(config.reps, 10)), warmup=1)
         return mean_s, std_s
 
-    exact_provider = ExactTransformProvider(scenario.window)
-    mean_s, std_s = time_transform(exact_provider)
+    mean_s, std_s = time_transform(ExactTransformProvider(checker.provider.window))
     report.add("transform_exact_ms", mean_s * 1e3, std_s * 1e3, "ms")
-    if isinstance(scenario.provider, NeuralTransformProvider):
-        neural_mean, neural_std = time_transform(scenario.provider)
+    if isinstance(checker.provider, NeuralTransformProvider):
+        neural_mean, neural_std = time_transform(checker.provider)
         report.add("transform_neural_ms", neural_mean * 1e3, neural_std * 1e3, "ms")
         report.add(
             "transform_neural_speedup",
@@ -354,11 +318,6 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
             "x",
         )
 
-    if config.clouds_path is not None:
-        _, points = next(iter(iter_cloud_frames(config.clouds_path)))
-        obstacles = voxelize_pointcloud(points, scenario.grid)
-    else:
-        obstacles = random_obstacles(scenario, rng)
     report.add("occupied_voxels", obstacles.n_occupied, 0.0, "count")
     report.add("waypoints", c, 0.0, "count")
 
@@ -375,9 +334,9 @@ def run_bench(scenario: Scenario, rng: np.random.Generator) -> BenchReport:
         mean_s, std_s, (sphere_d, sphere_stats) = _time(
             lambda: sphere_baseline_distances(
                 scenario.spheres,
-                scenario.all_poses,
+                scenario.poses,
                 obstacles,
-                scenario.grid,
+                grid,
                 return_stats=True,
             ),
             reps=config.reps,
@@ -422,7 +381,7 @@ def run_replay(scenario: Scenario, out_path) -> dict[str, float]:
     """Replay a recorded cloud sequence against prepared robot SDFs."""
     if scenario.config.clouds_path is None:
         raise ValidationError("replay needs --clouds")
-    batch = prepare_robot_sdfs(scenario)
+    batch = scenario.checker.prepare(scenario.poses)
     frames = iter_cloud_frames(scenario.config.clouds_path)
     rows = []
     points = nonfinite = out_of_grid = 0

@@ -70,9 +70,7 @@ def cmd_precompute(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    targets = [
-        (i, link) for i, link in enumerate(robot.links) if link.geometry is not None
-    ]
+    targets = [(i, robot.links[i]) for i in robot.geometry_links]
     if not targets:
         raise ValidationError(f"robot {robot.name} has no collision geometry")
     paths = [out_dir / f"link_{i:02d}_{link.name}.lsdf" for i, link in targets]

@@ -400,7 +400,7 @@ def load_stl(path) -> TriangleMesh:
         fh.seek(0)
         data = fh.read()
     if head == b"solid" and b"facet" in data[:2048]:
-        return _load_stl_ascii(data.decode("ascii", errors="replace"))
+        return _load_stl_ascii(data.decode("ascii", errors="replace"), path)
     return _load_stl_binary(data, path)
 
 
@@ -417,12 +417,17 @@ def _load_stl_binary(data: bytes, path) -> TriangleMesh:
     return _mesh_from_triangle_soup(tris)
 
 
-def _load_stl_ascii(text: str) -> TriangleMesh:
+def _load_stl_ascii(text: str, path) -> TriangleMesh:
     coords = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if len(parts) == 4 and parts[0] == "vertex":
-            coords.append([float(x) for x in parts[1:]])
+            try:
+                coords.append([float(x) for x in parts[1:]])
+            except ValueError as err:
+                raise ValidationError(f"{path}:{lineno}: {err}") from None
+    if len(coords) % 3:
+        raise ValidationError(f"{path}: {len(coords)} vertices make no whole triangles")
     tris = np.float64(coords).reshape(-1, 3, 3)
     return _mesh_from_triangle_soup(tris)
 
@@ -432,16 +437,19 @@ def load_obj(path) -> TriangleMesh:
     vertices = []
     faces = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                for i in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[i], idx[i + 1]))
+            try:
+                if parts[:1] == ["v"]:
+                    if len(parts) < 4:
+                        raise ValueError("a vertex needs 3 coordinates")
+                    vertices.append([float(x) for x in parts[1:4]])
+                elif parts[:1] == ["f"]:
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                    for i in range(1, len(idx) - 1):
+                        faces.append((idx[0], idx[i], idx[i + 1]))
+            except ValueError as err:
+                raise ValidationError(f"{path}:{lineno}: {err}") from None
     return TriangleMesh(np.float64(vertices), np.int64(faces))
 
 

@@ -49,7 +49,8 @@ class AlignmentResult:
     """Integer window anchor plus sub-voxel residual for one or more poses.
 
     ``anchor`` is the environment voxel index of the window's first cell;
-    ``delta_t`` is in ``[-r_e/2, r_e/2)`` per axis and satisfies
+    ``delta_t`` is in ``[-r_e/2, r_e/2)`` per axis, less an ulp-scale guard
+    below (see ``compute_alignment``), and satisfies
     ``voxel_center(anchor + W/2) + delta_t == T``.
     """
 
@@ -63,6 +64,18 @@ def compute_alignment(translation, grid: EnvGrid, extent_r) -> AlignmentResult:
     Accepts a single (3,) position or a batch (..., 3). Positions may lie
     outside the grid as long as their windows still overlap it; raises
     ``NoOverlapError`` otherwise.
+
+    Snap rule: the voxel index is the floor of the computed quotient
+    ``(T + extent) / resolution``, as in ``voxelize_pointcloud``, then moved
+    by one wherever the residual ``T - voxel_center`` computes to at least
+    ``r_e/2`` or, past an ulp-scale guard, below ``-r_e/2``. The residual,
+    not the quotient, decides: ``delta_t`` stays in ``[-r_e/2, r_e/2)`` up
+    to the guard, so ``voxel_center(anchor + W/2) + delta_t == T``, and a
+    point whose residual computes to exactly ``+-r_e/2``, one on a face,
+    goes to the upper voxel. A face point whose residual rounds to just
+    below ``r_e/2`` stays in the lower one. ``voxelize_pointcloud`` floors
+    only; under both rules a point lies within half a cell of its voxel's
+    center on each axis.
     """
     w = window_dims(extent_r, grid)
     t = np.asarray(translation, dtype=np.float64)

@@ -1,5 +1,8 @@
 """Robot SDF assembly, obstacle voxelization, and distance queries.
 
+``RobotChecker`` holds what every prepare of one robot shares and runs the
+per-trajectory chain: placement of the geometry links, then assembly.
+
 The per-configuration robot SDF is the min-merge of every link's sample
 window scattered at its anchor over a dense environment grid. Distance
 queries against voxelized obstacles are then pure memory gathers followed
@@ -22,9 +25,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .approx import NeuralTransformProvider, TinyMlp
 from .errors import GridMismatchError, ValidationError
-from .grids import EnvGrid, SdfSampleField, _read_exact
-from .meshes import TriangleMesh, primitive_surface_points
+from .grids import EnvGrid, LinkSdf, SdfSampleField, _read_exact
+from .meshes import TriangleMesh, build_link_sdf, primitive_surface_points
+from .placement import ExactTransformProvider, WindowGeometry, place_links_batch
 from .robot import LinkPoseBatch, RobotModel
 
 DEFAULT_BATCH_BYTES = 1 << 30  # refuse to allocate robot SDF batches past 1 GiB
@@ -201,6 +206,79 @@ def assemble_robot_sdfs(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RobotChecker:
+    """What every prepare of one robot on one grid shares: the robot, the
+    baked SDFs of its geometry links (each ``link_id`` is the link's index)
+    and the transform provider, whose window carries the grid and extent.
+    """
+
+    robot: RobotModel
+    sdfs: tuple[LinkSdf, ...]
+    provider: ExactTransformProvider | NeuralTransformProvider
+
+    @classmethod
+    def build(
+        cls,
+        robot: RobotModel,
+        grid: EnvGrid,
+        link_extent: float,
+        link_res: float,
+        model: TinyMlp | None = None,
+    ) -> "RobotChecker":
+        """Bake the geometry links; a ``model`` selects the neural transform
+        provider, None the exact one."""
+        if not robot.geometry_links:
+            raise ValidationError(f"robot {robot.name} has no collision geometry")
+        # Baked before the window is built, so the bake's peak memory is
+        # not raised by the window's point arrays.
+        sdfs = tuple(
+            build_link_sdf(robot.links[i].geometry, link_extent, link_res, link_id=i)
+            for i in robot.geometry_links
+        )
+        window = WindowGeometry.build(link_extent, grid)
+        if model is None:
+            provider = ExactTransformProvider(window)
+        else:
+            provider = NeuralTransformProvider(model, window)
+        return cls(robot=robot, sdfs=sdfs, provider=provider)
+
+    @property
+    def grid(self) -> EnvGrid:
+        return self.provider.window.grid
+
+    @property
+    def d_far_global(self) -> float:
+        """The batch's sentinel: the smallest link ``d_far``."""
+        return min(s.d_far for s in self.sdfs)
+
+    @property
+    def chunk(self) -> int:
+        """Configurations per placement step: about 2M kept cells, at most 8."""
+        return max(1, min(8, 2_000_000 // self.provider.window.n_masked))
+
+    def fields(self, poses: LinkPoseBatch) -> Iterator[tuple[int, SdfSampleField]]:
+        """Lazy (config, field) pairs of every geometry link placed at
+        ``poses``, the all-link output of ``forward_kinematics_batch``: the
+        placement half of ``prepare``."""
+        if poses.n_links != self.robot.n_links:
+            raise ValidationError(
+                f"poses have {poses.n_links} links, robot {self.robot.name} "
+                f"has {self.robot.n_links}"
+            )
+        links = [s.link_id for s in self.sdfs]
+        kept = LinkPoseBatch(poses.rotations[:, links], poses.translations[:, links])
+        placed = place_links_batch(self.sdfs, kept, self.grid, self.provider, self.chunk)
+        return ((c, field) for c, _, field in placed)
+
+    def prepare(self, poses: LinkPoseBatch) -> RobotSdfBatch:
+        """The one prepare call: the geometry links placed at ``poses`` and
+        min-merged into the robot SDF batch of every configuration."""
+        return assemble_robot_sdfs(
+            self.fields(poses), self.grid, poses.n_configs, self.d_far_global
+        )
+
+
 def voxelize_pointcloud(points: np.ndarray, grid: EnvGrid) -> ObstacleVoxelSet:
     """Snap an (N, 3) point cloud to its occupied voxels' flat ids.
 
@@ -348,9 +426,8 @@ def validate_sphere_model(
     the worst signed violation; raises ``ValidationError`` beyond ``tol``.
     """
     worst = -np.inf
-    for li, link in enumerate(model.links):
-        if link.geometry is None:
-            continue
+    for li in model.geometry_links:
+        link = model.links[li]
         mine = spheres.link_indices == li
         if not np.any(mine):
             raise ValidationError(f"link {link.name} has geometry but no spheres")

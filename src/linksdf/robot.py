@@ -58,11 +58,12 @@ class Transform:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_json(cls, obj) -> "Transform":
+    def from_json(cls, obj, where: str) -> "Transform":
         if obj is None:
             return cls.identity()
-        xyz = np.asarray(obj.get("xyz", [0.0, 0.0, 0.0]), dtype=np.float64)
-        rpy = obj.get("rpy", [0.0, 0.0, 0.0])
+        obj = _object(obj, where)
+        xyz = _numbers(obj, "xyz", where, 3, [0.0, 0.0, 0.0])
+        rpy = _numbers(obj, "rpy", where, 3, [0.0, 0.0, 0.0])
         return cls(rpy_matrix(*rpy), xyz)
 
     def matrix(self) -> np.ndarray:
@@ -122,6 +123,8 @@ class RobotModel:
 
     def __post_init__(self):
         joint_names = {j.name for j in self.joints}
+        if len(joint_names) != len(self.joints):
+            raise ValidationError("duplicate joint names")
         link_names = [l.name for l in self.links]
         if len(set(link_names)) != len(link_names):
             raise ValidationError("duplicate link names")
@@ -162,6 +165,11 @@ class RobotModel:
     def n_links(self) -> int:
         return len(self.links)
 
+    @property
+    def geometry_links(self) -> list[int]:
+        """Indices of the links that carry collision geometry, in link order."""
+        return [i for i, l in enumerate(self.links) if l.geometry is not None]
+
     def link_index(self, name: str) -> int:
         for i, l in enumerate(self.links):
             if l.name == name:
@@ -177,66 +185,141 @@ class RobotModel:
 
     @classmethod
     def from_json(cls, path) -> "RobotModel":
+        """Load the JSON schema; a malformed file raises ``ValidationError``
+        naming the file and the offending key."""
         path = Path(path)
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ValidationError(f"{path}: not valid JSON: {err}") from None
+        doc = _object(doc, str(path))
         joints = tuple(
-            Joint(
-                name=j["name"],
-                kind=j["type"],
-                parent_link=j["parent_link"],
-                origin=Transform.from_json(j.get("origin")),
-                axis=np.asarray(j.get("axis", [0.0, 0.0, 1.0]), dtype=np.float64),
-                position_limits=tuple(j["limits"]["position"])
-                if j.get("limits", {}).get("position")
-                else None,
-                velocity_limit=j.get("limits", {}).get("velocity"),
-                acceleration_limit=j.get("limits", {}).get("acceleration"),
-            )
-            for j in doc.get("joints", [])
+            _joint_from_json(j, f"{path}: joints[{i}]")
+            for i, j in enumerate(_objects(doc.get("joints", []), f"{path}: joints"))
         )
         links = tuple(
-            Link(
-                name=l["name"],
-                parent_joint=l.get("parent_joint"),
-                origin=Transform.from_json(l.get("origin")),
-                geometry=_geometry_from_json(l.get("geometry"), path.parent),
-            )
-            for l in doc.get("links", [])
+            _link_from_json(l, path.parent, f"{path}: links[{i}]")
+            for i, l in enumerate(_objects(doc.get("links", []), f"{path}: links"))
         )
         spheres = {
             link: [
-                (np.asarray(s["center"], dtype=np.float64), float(s["radius"]))
-                for s in entries
+                (
+                    _numbers(s, "center", f"{path}: spheres.{link}[{k}]", 3),
+                    _numbers(s, "radius", f"{path}: spheres.{link}[{k}]", None),
+                )
+                for k, s in enumerate(_objects(entries, f"{path}: spheres.{link}"))
             ]
-            for link, entries in doc.get("spheres", {}).items()
+            for link, entries in _object(
+                doc.get("spheres", {}), f"{path}: spheres"
+            ).items()
         }
         return cls(
-            name=doc.get("name", path.stem),
+            name=_text(doc, "name", str(path), path.stem),
             links=links,
             joints=joints,
-            link_reach=float(doc.get("link_reach", 0.0)),
+            link_reach=_numbers(doc, "link_reach", str(path), None, 0.0),
             sphere_model=spheres,
         )
 
 
-def _geometry_from_json(obj, base_dir: Path):
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, where: str, default=_REQUIRED):
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValidationError(f"{where}: missing key {key!r}")
+    return default
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _objects(items, where: str) -> list[dict]:
+    if not isinstance(items, list):
+        raise ValidationError(f"{where}: expected a list, got {type(items).__name__}")
+    return [_object(item, f"{where}[{i}]") for i, item in enumerate(items)]
+
+
+def _text(obj: dict, key: str, where: str, default=_REQUIRED):
+    """``obj[key]`` as a string; a default of None passes through."""
+    value = _field(obj, key, where, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(obj: dict, key: str, where: str, n: int | None, default=_REQUIRED):
+    """``obj[key]`` as an array of ``n`` finite floats, or as one float when
+    ``n`` is None; a default of None passes through."""
+    value = _field(obj, key, where, default)
+    if value is None and default is None:
+        return None
+    shape = () if n is None else (n,)
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != shape or not np.all(np.isfinite(v)):
+        what = "a finite number" if n is None else f"{n} finite numbers"
+        raise ValidationError(f"{where}: {key!r} must be {what}, got {value!r}")
+    return float(v) if n is None else v
+
+
+def _joint_from_json(j: dict, where: str) -> Joint:
+    at = f"{where}.limits"
+    limits = _object(j.get("limits", {}), at)
+    return Joint(
+        name=_text(j, "name", where),
+        kind=_text(j, "type", where),
+        parent_link=_text(j, "parent_link", where),
+        origin=Transform.from_json(j.get("origin"), f"{where}.origin"),
+        axis=_numbers(j, "axis", where, 3, [0.0, 0.0, 1.0]),
+        position_limits=tuple(_numbers(limits, "position", at, 2))
+        if limits.get("position")
+        else None,
+        velocity_limit=_numbers(limits, "velocity", at, None, None),
+        acceleration_limit=_numbers(limits, "acceleration", at, None, None),
+    )
+
+
+def _link_from_json(l: dict, base_dir: Path, where: str) -> Link:
+    return Link(
+        name=_text(l, "name", where),
+        parent_joint=_text(l, "parent_joint", where, None),
+        origin=Transform.from_json(l.get("origin"), f"{where}.origin"),
+        geometry=_geometry_from_json(l.get("geometry"), base_dir, f"{where}.geometry"),
+    )
+
+
+def _geometry_from_json(obj, base_dir: Path, where: str):
     if obj is None:
         return None
-    kind = obj["type"]
+    obj = _object(obj, where)
+    kind = _text(obj, "type", where)
     if kind == "sphere":
-        return Sphere(radius=float(obj["radius"]), center=obj.get("center", (0, 0, 0)))
+        return Sphere(
+            radius=_numbers(obj, "radius", where, None),
+            center=_numbers(obj, "center", where, 3, [0.0, 0.0, 0.0]),
+        )
     if kind == "capsule":
         return Capsule(
-            radius=float(obj["radius"]),
-            half_length=float(obj["half_length"]),
-            axis=obj.get("axis", (0.0, 0.0, 1.0)),
+            radius=_numbers(obj, "radius", where, None),
+            half_length=_numbers(obj, "half_length", where, None),
+            axis=_numbers(obj, "axis", where, 3, [0.0, 0.0, 1.0]),
         )
     if kind == "box":
-        return Box(half_extents=obj["half_extents"])
+        return Box(half_extents=_numbers(obj, "half_extents", where, 3))
     if kind == "mesh":
-        return load_mesh(base_dir / obj["path"])
-    raise ValidationError(f"unknown geometry type {kind}")
+        return load_mesh(base_dir / _text(obj, "path", where))
+    raise ValidationError(f"{where}: unknown geometry type {kind}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,8 @@ from linksdf import (
     LinkSdf,
     NeuralTransformProvider,
     ObstacleVoxelSet,
+    RobotChecker,
+    RobotModel,
     RobotSdfBatch,
     SdfSampleField,
     Sphere,
@@ -33,7 +35,6 @@ from linksdf import (
     forward_kinematics_single,
     masked_window_points,
     place_link,
-    place_links_batch,
     primitive_sdf,
     query_min_distances,
     sphere_baseline_distances,
@@ -60,12 +61,9 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 class Scene:
     grid: EnvGrid
     batch: RobotSdfBatch
-    poses: LinkPoseBatch  # geometry links only
+    robot: RobotModel
     all_poses: LinkPoseBatch
-    geometries: list
     obstacles: ObstacleVoxelSet
-    d_far_global: float
-    link_extent: float
 
 
 @pytest.fixture(scope="session")
@@ -84,26 +82,14 @@ def scene(arm3):
 
     q = rng.uniform(-3.1, 3.1, size=(50, 3))
     all_poses = forward_kinematics_batch(arm3, ConfigBatch(q))
-    geometry_links = [i for i, l in enumerate(arm3.links) if l.geometry is not None]
-    poses = LinkPoseBatch(
-        rotations=all_poses.rotations[:, geometry_links],
-        translations=all_poses.translations[:, geometry_links],
-    )
-    reach = np.linalg.norm(poses.translations, axis=-1).max()
+    reach = np.linalg.norm(
+        all_poses.translations[:, arm3.geometry_links], axis=-1
+    ).max()
     assert reach <= 0.25, "scene sizing assumes a compact arm"
 
-    sdfs = [
-        build_link_sdf(arm3.links[i].geometry, link_extent, LINK_RES, link_id=i)
-        for i in geometry_links
-    ]
-    d_far_global = min(s.d_far for s in sdfs)
-    window = WindowGeometry.build(link_extent, grid)
-    provider = ExactTransformProvider(window)
-    fields = (
-        (c, f) for c, _, f in place_links_batch(sdfs, poses, grid, provider, chunk=4)
-    )
-    batch = assemble_robot_sdfs(fields, grid, 50, d_far_global)
-    del sdfs  # free ~700 MB of f32 grids once merged
+    checker = RobotChecker.build(arm3, grid, link_extent, LINK_RES)
+    batch = checker.prepare(all_poses)
+    del checker  # free ~700 MB of f32 link grids once merged
 
     occupied = np.unique(rng.integers(0, 50, size=(620, 3)), axis=0)[:500]
     obstacles = ObstacleVoxelSet(
@@ -113,14 +99,7 @@ def scene(arm3):
         n_dropped=0,
     )
     return Scene(
-        grid=grid,
-        batch=batch,
-        poses=poses,
-        all_poses=all_poses,
-        geometries=[arm3.links[i].geometry for i in geometry_links],
-        obstacles=obstacles,
-        d_far_global=d_far_global,
-        link_extent=link_extent,
+        grid=grid, batch=batch, robot=arm3, all_poses=all_poses, obstacles=obstacles
     )
 
 
@@ -128,15 +107,16 @@ def oracle_distances(scene: Scene, obstacles: ObstacleVoxelSet) -> np.ndarray:
     """Brute force: exact primitive distance over links x voxels, clamped
     at the global far sentinel like the pipeline output."""
     targets = scene.grid.voxel_centers(obstacles.indices)
-    best = np.full(scene.poses.n_configs, np.inf)
-    for li, geometry in enumerate(scene.geometries):
-        rot = scene.poses.rotations[:, li]
-        trn = scene.poses.translations[:, li]
+    best = np.full(scene.all_poses.n_configs, np.inf)
+    for li in scene.robot.geometry_links:
+        rot = scene.all_poses.rotations[:, li]
+        trn = scene.all_poses.translations[:, li]
         local = np.einsum("cji,nj->cni", rot, targets) - np.einsum(
             "cji,cj->ci", rot, trn
         )[:, None, :]
+        geometry = scene.robot.links[li].geometry
         best = np.minimum(best, primitive_sdf(geometry, local).min(axis=1))
-    return np.minimum(best, scene.d_far_global)
+    return np.minimum(best, scene.batch.d_far_global)
 
 
 @pytest.fixture(scope="session")
@@ -305,7 +285,7 @@ class TestCriterion6:
             sphere_baseline_distances(
                 spheres, scene.all_poses, scene.obstacles, scene.grid
             ),
-            scene.d_far_global,
+            scene.batch.d_far_global,
         )
         pipe_far = query_min_distances(scene.batch, scene.obstacles).astype(np.float64)
         far_gap = float((base_far - pipe_far).max())
@@ -326,24 +306,8 @@ def cost_scene(arm3):
     extent = 0.2  # width 10: placement stays cheap at C=500
     q = rng.uniform(-3.1, 3.1, size=(500, 3))
     all_poses = forward_kinematics_batch(arm3, ConfigBatch(q))
-    geometry_links = [i for i, l in enumerate(arm3.links) if l.geometry is not None]
-    poses = LinkPoseBatch(
-        rotations=all_poses.rotations[:, geometry_links],
-        translations=all_poses.translations[:, geometry_links],
-    )
-    sdfs = [
-        build_link_sdf(arm3.links[i].geometry, extent, LINK_RES, link_id=i)
-        for i in geometry_links
-    ]
-    window = WindowGeometry.build(extent, grid)
-    provider = ExactTransformProvider(window)
-    d_far_global = min(s.d_far for s in sdfs)
-
-    def prepare():
-        fields = ((c, f) for c, _, f in place_links_batch(sdfs, poses, grid, provider))
-        return assemble_robot_sdfs(fields, grid, 500, d_far_global)
-
-    return grid, arm3, all_poses, prepare, rng
+    checker = RobotChecker.build(arm3, grid, extent, LINK_RES)
+    return grid, arm3, all_poses, lambda: checker.prepare(all_poses), rng
 
 
 class TestCriterion7:

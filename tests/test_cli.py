@@ -147,16 +147,16 @@ class TestBench:
     ):
         # placement_s, assembly_s and prepare_sdf_per_trajectory_s come
         # from one warm-up plus five timed prepare passes.
-        import linksdf.bench
+        import linksdf.query
 
         passes = []
-        place = linksdf.bench.place_links_batch
+        place = linksdf.query.place_links_batch
 
         def counting_place(*args, **kwargs):
             passes.append(1)
             return place(*args, **kwargs)
 
-        monkeypatch.setattr(linksdf.bench, "place_links_batch", counting_place)
+        monkeypatch.setattr(linksdf.query, "place_links_batch", counting_place)
         argv = (
             ["bench"]
             + scenario_args(arm3_path, trajectory_csv)
@@ -164,6 +164,46 @@ class TestBench:
         )
         assert main(argv) == 0
         assert 1 <= len(passes) <= 6
+
+    def _bench_rows(self, tmp_path, argv):
+        assert main(argv + ["--reps", "5", "--out", str(tmp_path / "report")]) == 0
+        lines = (tmp_path / "report" / "bench.csv").read_text().splitlines()[1:]
+        return {line.split(",")[0]: float(line.split(",")[1]) for line in lines}
+
+    def test_no_obstacles_reads_the_sentinel(self, tmp_path, arm3_path, trajectory_csv):
+        argv = ["bench"] + scenario_args(arm3_path, trajectory_csv) + ["--obstacles", "0"]
+        rows = self._bench_rows(tmp_path, argv)
+        assert rows["occupied_voxels"] == 0
+        assert rows["quality_max_abs_delta_m"] == 0.0
+
+    @pytest.mark.parametrize(
+        "points, occupied",
+        [([[0.9, 0, 0], [0, -2, 0]], 0), ([[0.45, 0.45, 0.45]], 1)],
+        ids=["outside-the-grid", "beyond-every-window"],
+    )
+    def test_first_frame_reads_the_sentinel(
+        self, tmp_path, arm3_path, trajectory_csv, points, occupied
+    ):
+        # The oracle clamps at the sentinel the batch stores, float32.
+        write_pointcloud_frame(tmp_path / "f0.bin", np.float64(points))
+        (tmp_path / "clouds.txt").write_text("0.0 f0.bin\n")
+        argv = (
+            ["bench"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--clouds", str(tmp_path / "clouds.txt")]
+        )
+        rows = self._bench_rows(tmp_path, argv)
+        assert rows["occupied_voxels"] == occupied
+        assert rows["quality_max_abs_delta_m"] == 0.0
+
+    def test_manifest_without_frames_is_2(self, tmp_path, arm3_path, trajectory_csv):
+        (tmp_path / "clouds.txt").write_text("# no frames\n")
+        argv = (
+            ["bench"]
+            + scenario_args(arm3_path, trajectory_csv)
+            + ["--reps", "5", "--clouds", str(tmp_path / "clouds.txt")]
+        )
+        assert main(argv) == 2
 
     def test_neural_provider_reports_transform_ratio(
         self, tmp_path, arm3_path, trajectory_csv
@@ -343,6 +383,13 @@ class TestExitCodes:
             + ["--reps", "5", "--provider", "neural", "--model", str(model_path)]
         )
         assert main(argv) == 2
+
+    def test_malformed_robot_is_2(self, tmp_path, trajectory_csv, capsys):
+        robot = tmp_path / "robot.json"
+        robot.write_text('{"links": [{"name": "base"}], "joints": [{"name": "j1"}]}')
+        argv = ["bench"] + scenario_args(robot, trajectory_csv) + ["--reps", "5"]
+        assert main(argv) == 2
+        assert f"{robot}: joints[0]: missing key 'type'" in capsys.readouterr().err
 
     def test_negative_obstacle_count_is_2(self, arm3_path, trajectory_csv):
         argv = (

@@ -1,5 +1,6 @@
 """Min-merge assembly, voxelization, queries, baseline, and streaming."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,18 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linksdf import (
+    Box,
+    Capsule,
+    ConfigBatch,
+    DimensionMismatchError,
     EnvGrid,
     ExactTransformProvider,
     GridMismatchError,
+    NeuralTransformProvider,
     ObstacleVoxelSet,
+    RobotChecker,
+    RobotModel,
     RobotSdfBatch,
     SdfSampleField,
     Sphere,
     SphereRobotModel,
+    TinyMlp,
     ValidationError,
     WindowGeometry,
     assemble_robot_sdfs,
     build_link_sdf,
+    forward_kinematics_batch,
     per_link_min_distances,
     place_links_batch,
     query_min_distances,
@@ -547,6 +557,107 @@ class TestPipelineQueries:
         per_link = per_link_min_distances(iter(fields), obstacles, 4, 1, link.d_far)
         full = query_min_distances(batch, obstacles)
         assert np.allclose(per_link[:, 0], full, atol=1e-6)
+
+
+def arm6_with_geometry(arm6):
+    """The ARM6 test chain with primitives on l2..l6; base and l1 stay bare."""
+    shapes = {
+        "l2": Capsule(radius=0.05, half_length=0.06),
+        "l3": Box(half_extents=[0.04, 0.03, 0.1]),
+        "l4": Sphere(0.05),
+        "l5": Capsule(radius=0.04, half_length=0.03, axis=[1.0, 0.0, 0.0]),
+        "l6": Sphere(0.03, center=[0.0, 0.0, 0.02]),
+    }
+    links = tuple(
+        dataclasses.replace(l, geometry=shapes.get(l.name)) for l in arm6.links
+    )
+    return RobotModel(name="arm6g", links=links, joints=arm6.joints, link_reach=0.6)
+
+
+def hand_wired_prepare(robot, grid, extent, res, poses):
+    """The prepare chain written out step by step, as callers wired it
+    before the checker: the reference that ``RobotChecker.prepare`` must
+    match bit for bit."""
+    links = [i for i, l in enumerate(robot.links) if l.geometry is not None]
+    sdfs = [build_link_sdf(robot.links[i].geometry, extent, res, link_id=i) for i in links]
+    kept = LinkPoseBatch(
+        rotations=poses.rotations[:, links], translations=poses.translations[:, links]
+    )
+    provider = ExactTransformProvider(WindowGeometry.build(extent, grid))
+    fields = ((c, f) for c, _, f in place_links_batch(sdfs, kept, grid, provider))
+    return assemble_robot_sdfs(fields, grid, poses.n_configs, min(s.d_far for s in sdfs))
+
+
+class TestRobotChecker:
+    EXTENT, RES = 0.4, 0.05  # width-8 windows on the 10 cm module grid
+
+    def robot_and_poses(self, name, arm3, arm6):
+        """Seven configurations, not a multiple of the placement chunk."""
+        robot = arm3 if name == "arm3" else arm6_with_geometry(arm6)
+        limits = robot.position_limits()
+        q = np.random.default_rng(5).uniform(
+            0.9 * limits[:, 0], 0.9 * limits[:, 1], size=(7, robot.dof)
+        )
+        return robot, forward_kinematics_batch(robot, ConfigBatch(q))
+
+    @pytest.mark.parametrize("name", ["arm3", "arm6"])
+    def test_prepare_matches_hand_wired_chain(self, grid, arm3, arm6, name):
+        robot, poses = self.robot_and_poses(name, arm3, arm6)
+        checker = RobotChecker.build(robot, grid, self.EXTENT, self.RES)
+        got = checker.prepare(poses)
+        want = hand_wired_prepare(robot, grid, self.EXTENT, self.RES, poses)
+        assert 0 < got.live_fraction < 1
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert np.array_equal(got.table, want.table)
+        assert got.d_far_global == want.d_far_global == checker.d_far_global
+        assert [s.link_id for s in checker.sdfs] == robot.geometry_links
+
+    @pytest.mark.parametrize("name", ["arm3", "arm6"])
+    def test_fields_yield_one_pair_per_config_and_geometry_link(
+        self, grid, arm3, arm6, name
+    ):
+        robot, poses = self.robot_and_poses(name, arm3, arm6)
+        checker = RobotChecker.build(robot, grid, self.EXTENT, self.RES)
+        configs = [c for c, _ in checker.fields(poses)]
+        n_links = len(robot.geometry_links)
+        assert len(configs) == poses.n_configs * n_links
+        assert np.array_equal(np.bincount(configs), np.full(poses.n_configs, n_links))
+
+    def test_chunk_follows_window_size(self, grid, arm3):
+        small = RobotChecker.build(arm3, grid, self.EXTENT, self.RES)
+        assert small.chunk == 8
+        # 98^3 window, 492,177 kept cells: the criterion-1 scene's window.
+        window = WindowGeometry.build(1.96, EnvGrid(extent=1.0, resolution=0.04))
+        large = RobotChecker(robot=arm3, sdfs=(), provider=ExactTransformProvider(window))
+        assert large.chunk == 2_000_000 // window.n_masked == 4
+
+    def test_provider_follows_model(self, grid, arm3):
+        exact = RobotChecker.build(arm3, grid, self.EXTENT, self.RES)
+        assert type(exact.provider) is ExactTransformProvider
+        n_masked = exact.provider.window.n_masked
+        neural = RobotChecker.build(
+            arm3, grid, self.EXTENT, self.RES, model=TinyMlp.initial(n_points=n_masked)
+        )
+        assert isinstance(neural.provider, NeuralTransformProvider)
+        with pytest.raises(DimensionMismatchError):
+            RobotChecker.build(
+                arm3, grid, self.EXTENT, self.RES, model=TinyMlp.initial(n_points=5)
+            )
+
+    def test_robot_without_geometry_rejected(self, grid, arm6):
+        with pytest.raises(ValidationError, match="no collision geometry"):
+            RobotChecker.build(arm6, grid, self.EXTENT, self.RES)
+
+    def test_poses_with_wrong_link_count_rejected(self, grid, arm3):
+        _, poses = self.robot_and_poses("arm3", arm3, None)
+        checker = RobotChecker.build(arm3, grid, self.EXTENT, self.RES)
+        geometry_only = LinkPoseBatch(
+            rotations=poses.rotations[:, 1:], translations=poses.translations[:, 1:]
+        )
+        with pytest.raises(ValidationError, match="3 links"):
+            checker.prepare(geometry_only)
+        with pytest.raises(ValidationError, match="3 links"):
+            checker.fields(geometry_only)
 
 
 class TestSphereBaseline:

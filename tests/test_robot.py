@@ -58,6 +58,25 @@ class TestModelLoading:
         with pytest.raises(ValidationError):
             RobotModel.from_json(path)
 
+    def test_duplicate_joint_names_rejected(self, tmp_path):
+        # FK would place both links with the first joint's origin and axis.
+        joint = {
+            "name": "j", "type": "revolute", "parent_link": "base", "axis": [0, 0, 1],
+            "limits": {"position": [-1, 1], "velocity": 1, "acceleration": 1},
+        }
+        doc = {
+            "links": [
+                {"name": "base"},
+                {"name": "a", "parent_joint": "j"},
+                {"name": "b", "parent_joint": "j"},
+            ],
+            "joints": [joint, dict(joint, type="prismatic", axis=[1, 0, 0])],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="duplicate joint names"):
+            RobotModel.from_json(path)
+
     def test_two_roots_rejected(self, tmp_path):
         doc = {"name": "bad", "links": [{"name": "a"}, {"name": "b"}], "joints": []}
         path = tmp_path / "bad.json"
@@ -72,7 +91,7 @@ class TestModelLoading:
         lines = [f"v {x} {y} {z}" for x, y, z in cube.vertices]
         lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in cube.triangles]
         (tmp_path / "meshes").mkdir()
-        (tmp_path / "meshes" / "cube.obj").write_text("\n".join(lines))
+        (tmp_path / "meshes" / "tetra.obj").write_text("\n".join(lines))
         doc = {
             "name": "meshy",
             "link_reach": 0.2,
@@ -81,7 +100,7 @@ class TestModelLoading:
                 {
                     "name": "l1",
                     "parent_joint": "j1",
-                    "geometry": {"type": "mesh", "path": "meshes/cube.obj"},
+                    "geometry": {"type": "mesh", "path": "meshes/tetra.obj"},
                 },
             ],
             "joints": [
@@ -100,6 +119,102 @@ class TestModelLoading:
         assert exact_point_distance(geometry, np.float64([0.3, 0, 0])) == pytest.approx(0.2)
         sdf = build_link_sdf(geometry, 0.2, 0.05, link_id=1)
         assert sdf.values[0, 0, 0] > 0
+
+
+    def test_geometry_links(self, arm3, arm6):
+        assert arm3.geometry_links == [1, 2, 3]
+        assert arm6.geometry_links == []
+
+
+def _good_robot_doc():
+    return {
+        "name": "two",
+        "links": [
+            {"name": "base"},
+            {
+                "name": "l1",
+                "parent_joint": "j1",
+                "origin": {"xyz": [0, 0, 0.1], "rpy": [0, 0, 0]},
+                "geometry": {"type": "mesh", "path": "tetra.obj"},
+            },
+        ],
+        "joints": [
+            {
+                "name": "j1", "type": "revolute", "parent_link": "base",
+                "axis": [0, 0, 1],
+                "limits": {"position": [-1, 1], "velocity": 1, "acceleration": 1},
+            }
+        ],
+        "spheres": {"l1": [{"center": [0, 0, 0], "radius": 0.2}]},
+    }
+
+
+_TETRA_OBJ = "\n".join(
+    ["v -0.1 -0.1 -0.1", "v 0.1 -0.1 -0.1", "v 0 0.1 -0.1", "v 0 0 0.1"]
+    + ["f 1 3 2", "f 1 2 4", "f 2 3 4", "f 3 1 4"]
+)
+
+
+def _write_robot_files(tmp_path, edit=lambda doc, files: None):
+    """Write the good document and its mesh, after ``edit(doc, files)``;
+    ``files`` maps file names to text and may replace ``robot.json``."""
+    doc, files = _good_robot_doc(), {"tetra.obj": _TETRA_OBJ}
+    edit(doc, files)
+    files.setdefault("robot.json", json.dumps(doc))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path / "robot.json"
+
+
+def _ascii_stl_geometry(last_vertex):
+    """Edit that points link l1 at an ASCII STL whose third vertex line is
+    ``last_vertex``."""
+    stl = "\n".join(
+        ["solid t", "facet normal 0 0 1", "outer loop", "vertex 0 0 0", "vertex 1 0 0",
+         last_vertex, "endloop", "endfacet", "endsolid t"]
+    )
+
+    def edit(doc, files):
+        doc["links"][1]["geometry"]["path"] = "t.stl"
+        files["t.stl"] = stl
+
+    return edit
+
+
+class TestMalformedRobotFile:
+    def test_good_document_loads(self, tmp_path):
+        model = RobotModel.from_json(_write_robot_files(tmp_path))
+        assert model.geometry_links == [1]
+        poses = forward_kinematics_batch(model, ConfigBatch([[0.5]]))
+        assert np.allclose(poses.translations[0, 1], [0, 0, 0.1])
+
+    @pytest.mark.parametrize(
+        "edit, file, key",
+        [
+            (lambda d, f: f.update({"robot.json": "{"}), "robot.json", "not valid JSON"),
+            (lambda d, f: d["joints"][0].pop("type"), "robot.json", "'type'"),
+            (lambda d, f: d["links"][1].pop("name"), "robot.json", "'name'"),
+            (lambda d, f: d["spheres"]["l1"][0].pop("radius"), "robot.json", "'radius'"),
+            (lambda d, f: d.update(links={"name": "base"}), "robot.json", "links"),
+            (lambda d, f: d["links"][1]["origin"].update(rpy=[0, 0]), "robot.json", "'rpy'"),
+            (lambda d, f: d["links"][1]["origin"].update(xyz=[0, 0.1]), "robot.json", "'xyz'"),
+            (lambda d, f: d["joints"][0].update(axis=[0, 1]), "robot.json", "'axis'"),
+            (lambda d, f: f.update({"tetra.obj": "v 0 0 x\n" + _TETRA_OBJ}), "tetra.obj", ":1:"),
+            (_ascii_stl_geometry("vertex 0 0 x"), "t.stl", ":6:"),
+            (_ascii_stl_geometry(""), "t.stl", "no whole triangles"),
+        ],
+        ids=[
+            "invalid-json", "joint-without-type", "link-without-name",
+            "sphere-without-radius", "links-not-a-list", "rpy-of-2", "xyz-of-2",
+            "axis-of-2", "obj-non-numeric", "stl-non-numeric", "stl-partial-triangle",
+        ],
+    )
+    def test_rejected_naming_file_and_key(self, tmp_path, edit, file, key):
+        path = _write_robot_files(tmp_path, edit)
+        with pytest.raises(ValidationError) as err:
+            RobotModel.from_json(path)
+        assert f"{tmp_path / file}" in str(err.value)
+        assert key in str(err.value)
 
 
 class TestForwardKinematics:
